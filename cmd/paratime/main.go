@@ -11,7 +11,7 @@
 //	paratime suite                  analyze + simulate the benchmark suite
 //	paratime run  [-json] [-parallelism n] <file...|->  run scenario file(s)
 //	                                (see export); -parallelism sets the
-//	                                intra-analysis worker count (results
+//	                                process-wide worker count (results
 //	                                are identical at any value)
 //	paratime export <exp-id>|all    dump experiment(s) as scenario JSON
 //	paratime exp  <id>|all          run experiment(s), e.g. e4 (see list)
@@ -119,7 +119,7 @@ func run(ctx context.Context, args []string) error {
 			return err
 		}
 		sims := make([]*paratime.SimResult, len(tasks))
-		err = engine.ForEach(ctx, 0, len(tasks), func(i int) error {
+		err = parallel.ForEach(ctx, 0, len(tasks), func(i int) error {
 			s := paratime.BuildSim(sys, paratime.DefaultMemConfig(), nil, false, tasks[i])
 			res, err := paratime.Simulate(s, 1_000_000_000)
 			if err != nil {
@@ -268,7 +268,7 @@ func runExperiments(ctx context.Context, args []string) error {
 	}
 	results := make([]*experiments.Result, len(ids))
 	errs := make([]error, len(ids))
-	runErr := engine.ForEach(ctx, 0, len(ids), func(i int) error {
+	runErr := parallel.ForEach(ctx, 0, len(ids), func(i int) error {
 		res, err := runners[i]()
 		if err != nil {
 			errs[i] = err

@@ -19,9 +19,11 @@ func TestRoundRobinBoundFormula(t *testing.T) {
 }
 
 // driveRandom replays a random request pattern (each core sequential, at
-// most one outstanding) and returns per-request waits plus grant windows.
+// most one outstanding) against fresh grant state and returns per-request
+// waits plus grant windows.
 func driveRandom(t *testing.T, a Arbiter, n int, seed int64) (waits []int64, grants [][2]int64, byCore map[int][][2]int64) {
 	t.Helper()
+	st := a.NewState()
 	rng := rand.New(rand.NewSource(seed))
 	nextFree := make([]int64, n) // per-core: earliest next request time
 	type req struct {
@@ -43,7 +45,7 @@ func driveRandom(t *testing.T, a Arbiter, n int, seed int64) (waits []int64, gra
 		})
 		r := pending[0]
 		pending = pending[1:]
-		g := a.Request(r.core, r.t)
+		g := st.Request(r.core, r.t)
 		if g < r.t {
 			t.Fatalf("%s: grant %d before request %d", a.Name(), g, r.t)
 		}
@@ -72,7 +74,6 @@ func TestRoundRobinSimulatedWaitWithinBound(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8} {
 		a := NewRoundRobin(n, 4)
 		for seed := int64(0); seed < 5; seed++ {
-			a.Reset()
 			waits, grants, _ := driveRandom(t, a, n, seed)
 			assertNoOverlap(t, a.Name(), grants)
 			for _, w := range waits {
@@ -87,7 +88,6 @@ func TestRoundRobinSimulatedWaitWithinBound(t *testing.T) {
 func TestTDMAGrantsStayInOwnSlots(t *testing.T) {
 	a := NewTDMA([]Slot{{0, 6}, {1, 4}, {2, 8}}, 3)
 	for seed := int64(0); seed < 5; seed++ {
-		a.Reset()
 		_, grants, byCore := driveRandom(t, a, 3, seed)
 		assertNoOverlap(t, a.Name(), grants)
 		for core, wins := range byCore {
@@ -110,7 +110,7 @@ func TestTDMASimulatedWaitWithinBound(t *testing.T) {
 		bounds[c] = int64(a.Bound(c))
 	}
 	for seed := int64(0); seed < 8; seed++ {
-		a.Reset()
+		st := a.NewState().(*tdmaState)
 		rng := rand.New(rand.NewSource(seed))
 		for step := 0; step < 200; step++ {
 			core := rng.Intn(3)
@@ -118,10 +118,10 @@ func TestTDMASimulatedWaitWithinBound(t *testing.T) {
 			// Per-core serialization may push the request; the bound is
 			// defined relative to the effective request time.
 			eff := at
-			if end, ok := a.lastGrantEnd[core]; ok && end > eff {
+			if end, ok := st.lastGrantEnd[core]; ok && end > eff {
 				eff = end
 			}
-			g := a.Request(core, at)
+			g := st.Request(core, at)
 			if g-eff > bounds[core] {
 				t.Fatalf("tdma core %d: wait %d beyond bound %d", core, g-eff, bounds[core])
 			}
@@ -198,7 +198,6 @@ func TestMultiBandwidthSharesAndBounds(t *testing.T) {
 func TestMultiBandwidthGrantIsolation(t *testing.T) {
 	a := NewMultiBandwidth([]int{3, 1}, 2)
 	for seed := int64(0); seed < 5; seed++ {
-		a.Reset()
 		_, grants, _ := driveRandom(t, a, 2, seed)
 		assertNoOverlap(t, a.Name(), grants)
 	}

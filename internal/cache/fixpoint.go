@@ -119,9 +119,7 @@ func (res *Result) runFixpoint(g *cfg.Graph, ops [][]refOp, kind ACSKind, inStat
 // The returned slice is indexed by block position; unreachable blocks
 // stay nil. The transfer functions are monotone and the join is an
 // element-wise max/min on a finite lattice, so the result is the unique
-// least fixpoint — independent of visit order, which is what lets the
-// sharded and levelized parallel drivers reuse this worklist per
-// shard/component and still match the sequential run bit for bit.
+// least fixpoint, independent of visit order.
 func fixpointWorklist(g *cfg.Graph, idx *Index, ops [][]refOp, kind ACSKind) []*ACS {
 	blocks := g.Blocks // already RPO-ordered, with ID == position
 	n := len(blocks)

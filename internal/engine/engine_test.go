@@ -14,6 +14,7 @@ import (
 	"paratime/internal/flow"
 	"paratime/internal/interfere"
 	"paratime/internal/memctrl"
+	"paratime/internal/parallel"
 	"paratime/internal/workload"
 )
 
@@ -211,9 +212,12 @@ func TestErrorIsLowestIndex(t *testing.T) {
 	}
 }
 
+// TestForEach exercises the fan-out the batch entry points run on:
+// every index runs, the lowest failing index's error is reported, and
+// n=0 runs nothing.
 func TestForEach(t *testing.T) {
 	var sum atomic.Int64
-	if err := ForEach(context.Background(), 4, 100, func(i int) error {
+	if err := parallel.ForEach(context.Background(), 4, 100, func(i int) error {
 		sum.Add(int64(i))
 		return nil
 	}); err != nil {
@@ -223,7 +227,7 @@ func TestForEach(t *testing.T) {
 		t.Errorf("sum = %d, want 4950", sum.Load())
 	}
 	wantErr := errors.New("boom 17")
-	err := ForEach(context.Background(), 8, 64, func(i int) error {
+	err := parallel.ForEach(context.Background(), 8, 64, func(i int) error {
 		if i >= 17 {
 			return fmt.Errorf("boom %d", i)
 		}
@@ -232,49 +236,19 @@ func TestForEach(t *testing.T) {
 	if err == nil || err.Error() != wantErr.Error() {
 		t.Errorf("err = %v, want %v (lowest failing index)", err, wantErr)
 	}
-	if err := ForEach(context.Background(), 3, 0, func(int) error { return errors.New("no") }); err != nil {
+	if err := parallel.ForEach(context.Background(), 3, 0, func(int) error { return errors.New("no") }); err != nil {
 		t.Errorf("n=0 returned %v", err)
 	}
 }
 
-// TestCancellation: a canceled context stops dispatch promptly and is
-// reported as ctx.Err(), while task errors that already happened win
-// over the cancellation for determinism.
+// TestCancellation: a batch on a canceled context reports ctx.Err()
+// (the dispatch contract itself is pinned by parallel.TestForEach).
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sys := testSys()
 	if _, err := New(0).AnalyzeAll(ctx, Requests(workload.Suite(), sys)); !errors.Is(err, context.Canceled) {
 		t.Errorf("AnalyzeAll on canceled ctx = %v, want context.Canceled", err)
-	}
-	var ran atomic.Int64
-	err := ForEach(ctx, 4, 100, func(i int) error {
-		ran.Add(1)
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("ForEach on canceled ctx = %v, want context.Canceled", err)
-	}
-	if ran.Load() != 0 {
-		t.Errorf("%d indices dispatched after cancellation", ran.Load())
-	}
-	// Mid-flight cancellation: cancel from inside an early index; later
-	// indices must not all run.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	defer cancel2()
-	var count atomic.Int64
-	err = ForEach(ctx2, 1, 1000, func(i int) error {
-		if i == 3 {
-			cancel2()
-		}
-		count.Add(1)
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("mid-flight cancel = %v, want context.Canceled", err)
-	}
-	if count.Load() == 1000 {
-		t.Error("cancellation did not stop dispatch")
 	}
 }
 

@@ -253,19 +253,33 @@ func regimes() map[string]regime {
 				return sys.Bus.Bound(i), sys.Cores[i].L2
 			},
 		},
-		"bus": {
-			build: func(progs []*isa.Program) sim.System {
-				cores := make([]sim.CoreConfig, len(progs))
-				for i, p := range progs {
-					cores[i] = simCore(fmt.Sprintf("t%d", i), p)
-				}
-				return sim.System{Cores: cores, L2: ptr(l2()),
-					Bus: arbiter.NewRoundRobin(len(progs), l2().HitLatency+memLat()),
-					Mem: memctrl.DefaultConfig()}
-			},
-			bound: func(sys sim.System, i int) (int, *cache.Config) {
-				return sys.Bus.Bound(i), ptr(l2())
-			},
+		"bus":      busRegime(func(n, lat int) arbiter.Arbiter { return arbiter.NewRoundRobin(n, lat) }),
+		"bus-tdma": busRegime(func(n, lat int) arbiter.Arbiter { return arbiter.NewWheel(n, lat) }),
+		"bus-mbba": busRegime(func(n, lat int) arbiter.Arbiter {
+			w := make([]int, n)
+			for i := range w {
+				w[i] = n - i
+			}
+			return arbiter.NewMultiBandwidth(w, lat)
+		}),
+	}
+}
+
+// busRegime co-runs private-L2 cores on a bus arbitrated by arb(n, L),
+// where L is one full L2-plus-memory transaction.
+func busRegime(arb func(n, lat int) arbiter.Arbiter) regime {
+	return regime{
+		build: func(progs []*isa.Program) sim.System {
+			cores := make([]sim.CoreConfig, len(progs))
+			for i, p := range progs {
+				cores[i] = simCore(fmt.Sprintf("t%d", i), p)
+			}
+			return sim.System{Cores: cores, L2: ptr(l2()),
+				Bus: arb(len(progs), l2().HitLatency+memctrl.DefaultConfig().Bound()),
+				Mem: memctrl.DefaultConfig()}
+		},
+		bound: func(sys sim.System, i int) (int, *cache.Config) {
+			return sys.Bus.Bound(i), ptr(l2())
 		},
 	}
 }

@@ -2,9 +2,11 @@ package explore
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,30 +36,44 @@ func requireSameExplore(t *testing.T, label string, want *Result, wantErr error,
 
 // TestExploreParMatchesSequential: ExplorePar must be bit-identical to
 // Explore — same ExactWorst, witnesses, state/path counters, truncation
-// — for random input-dependent programs, solo and co-running, at
-// several worker counts under GOMAXPROCS 1 and 8.
+// — for random input-dependent programs on private cores and on every
+// co-run regime (shared-L2 joint, partitioned L2, and a bus under
+// round-robin, TDMA and MBBA arbitration), at several worker counts
+// under GOMAXPROCS 1 and 8. Concurrent pricings of one System share its
+// arbiter policy, so under -race the bus regimes also prove that no
+// grant state leaks between them.
 func TestExploreParMatchesSequential(t *testing.T) {
+	topologies := regimes()
+	topologies["private"] = regime{build: func(progs []*isa.Program) sim.System {
+		cores := make([]sim.CoreConfig, len(progs))
+		for i, p := range progs {
+			cores[i] = simCore(fmt.Sprintf("p%d", i), p)
+		}
+		return sim.System{Cores: cores, Mem: memctrl.DefaultConfig()}
+	}}
 	for _, procs := range []int{1, 8} {
 		old := runtime.GOMAXPROCS(procs)
 		rng := rand.New(rand.NewSource(318))
-		for trial := 0; trial < 6; trial++ {
-			for _, nCores := range []int{1, 2} {
-				cores := make([]sim.CoreConfig, nCores)
-				inputs := make([]Input, nCores)
-				for i := range cores {
-					cores[i] = simCore(fmt.Sprintf("p%d", i), randomProgram(rng, fmt.Sprintf("p%d", i)))
-					inputs[i] = Input{Core: i, Reg: isa.R1, Values: []int32{0, 1, 3}}
-				}
-				sys := sim.System{Cores: cores, Mem: memctrl.DefaultConfig()}
-				if trial%2 == 1 {
-					sys.L2 = ptr(l2())
-				}
-				b := Budget{InitStates: 2}
-				want, wantErr := Explore(sys, inputs, b)
-				for _, workers := range []int{2, 8} {
-					label := fmt.Sprintf("procs %d trial %d cores %d workers %d", procs, trial, nCores, workers)
-					got, gotErr := ExplorePar(sys, inputs, b, workers)
-					requireSameExplore(t, label, want, wantErr, got, gotErr)
+		for _, name := range slices.Sorted(maps.Keys(topologies)) {
+			for trial := 0; trial < 4; trial++ {
+				for _, nCores := range []int{1, 2} {
+					if name == "solo" && nCores > 1 {
+						continue
+					}
+					progs := make([]*isa.Program, nCores)
+					inputs := make([]Input, nCores)
+					for i := range progs {
+						progs[i] = randomProgram(rng, fmt.Sprintf("p%d", i))
+						inputs[i] = Input{Core: i, Reg: isa.R1, Values: []int32{0, 1, 3}}
+					}
+					sys := topologies[name].build(progs)
+					b := Budget{InitStates: 2}
+					want, wantErr := Explore(sys, inputs, b)
+					for _, workers := range []int{2, 4} {
+						label := fmt.Sprintf("procs %d %s trial %d cores %d workers %d", procs, name, trial, nCores, workers)
+						got, gotErr := ExplorePar(sys, inputs, b, workers)
+						requireSameExplore(t, label, want, wantErr, got, gotErr)
+					}
 				}
 			}
 		}
@@ -66,13 +82,21 @@ func TestExploreParMatchesSequential(t *testing.T) {
 }
 
 // TestExploreParTruncation: budget truncation semantics — the MaxStates
-// cut-off point, the Truncated flag and the all-truncated error naming
-// the limiting budget field — must survive parallel pricing unchanged.
+// cut-off point, the Truncated flag, the all-truncated error naming the
+// limiting budget field, and the state number of a failing simulation —
+// must survive parallel pricing unchanged.
 func TestExploreParTruncation(t *testing.T) {
 	p := isa.MustAssemble("diamond", diamond)
 	sys := sim.System{Cores: []sim.CoreConfig{simCore("d", p)}, Mem: memctrl.DefaultConfig()}
 	inputs := []Input{{Core: 0, Reg: isa.R1, Values: []int32{0, 1, 5}}}
+	full, err := Explore(sys, inputs, Budget{InitStates: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	budgets := map[string]Budget{
+		// A cycle limit just below the exact worst fails state 1 and
+		// later states: the error must name the lowest, like Explore.
+		"sim-failure": {InitStates: 3, MaxCycles: full.ExactWorst[0] - 3},
 		// 3 assignments x 3 patterns = 9 states; cap mid-enumeration.
 		"max-states": {InitStates: 3, MaxStates: 4},
 		// Every trace blows the decision budget: no state priced, and
@@ -94,10 +118,11 @@ func TestExploreParTruncation(t *testing.T) {
 			if wantErr == nil {
 				t.Fatalf("%s: sequential exploration unexpectedly succeeded", name)
 			}
-			field := "MaxBranchDecisions"
-			if name == "all-truncated-steps" {
-				field = "MaxSteps"
-			}
+			field := map[string]string{
+				"all-truncated":       "MaxBranchDecisions",
+				"all-truncated-steps": "MaxSteps",
+				"sim-failure":         "exceeded",
+			}[name]
 			if !strings.Contains(wantErr.Error(), field) {
 				t.Fatalf("%s: error %q does not name %s", name, wantErr, field)
 			}

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 
 	"paratime/internal/parallel"
@@ -15,12 +16,12 @@ import (
 //     outermost, combinations row-major, the same memoized taint traces
 //     and MaxStates gating) to fix the exact priced-state list;
 //   - the simulations, which are pure functions of their start state,
-//     then run on the worker pool;
+//     then run through parallel.ForEach, whose lowest-index error is the
+//     first failure Explore would hit: it reports the same state number
+//     and outranks a trace error from any later combination, exactly as
+//     the interleaved sequential loop would order them;
 //   - a sequential reduce in enumeration order replays Explore's
-//     accumulation, so ties keep resolving to the lowest state index
-//     and a simulation failure reports the same state number — and
-//     outranks a trace error from any later combination, exactly as
-//     the interleaved sequential loop would order them.
+//     accumulation, so ties keep resolving to the lowest state index.
 func ExplorePar(sys sim.System, inputs []Input, b Budget, workers int) (*Result, error) {
 	if workers <= 1 {
 		return Explore(sys, inputs, b)
@@ -62,7 +63,6 @@ func ExplorePar(sys sim.System, inputs []Input, b Budget, workers int) (*Result,
 		assigns [][]RegValue
 		trs     []*trace
 		cycles  []int64
-		err     error
 	}
 	res := &Result{ExactWorst: make([]int64, n), Witness: make([]Witness, n)}
 	for i := range res.ExactWorst {
@@ -105,9 +105,12 @@ scan:
 	}
 
 	// Phase 2: price every state on the worker pool. Each job builds its
-	// own core slice, so concurrent sim.Run calls share only immutable
-	// inputs (programs and the System template).
-	parallel.For(workers, len(jobs), func(k int) {
+	// own core slice; everything else a sim.Run reads through the System
+	// copy (programs, cache geometries, the arbiter policy) is immutable,
+	// and the arbiter's grant state is created inside each run. Every
+	// job before a failing one succeeded, so the failing job's index is
+	// the priced count Explore would report.
+	err = parallel.ForEach(context.Background(), workers, len(jobs), func(k int) error {
 		j := jobs[k]
 		run := sys
 		run.Cores = make([]sim.CoreConfig, n)
@@ -118,23 +121,21 @@ scan:
 		}
 		simRes, err := sim.Run(run, b.MaxCycles)
 		if err != nil {
-			j.err = err
-			return
+			return fmt.Errorf("explore: state %d (pattern %d): %w", k, j.pat, err)
 		}
 		j.cycles = make([]int64, n)
 		for c := 0; c < n; c++ {
 			j.cycles[c] = simRes.Cycles(c)
 		}
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	// Phase 3: sequential reduce in enumeration order.
 	paths := map[string]bool{}
-	priced := 0
 	for _, j := range jobs {
-		if j.err != nil {
-			return nil, fmt.Errorf("explore: state %d (pattern %d): %w", priced, j.pat, j.err)
-		}
-		priced++
 		for c := 0; c < n; c++ {
 			paths[fmt.Sprintf("%d|%s", c, j.trs[c].path)] = true
 			if j.trs[c].decisions > res.MaxDecisions {
@@ -153,6 +154,7 @@ scan:
 	if traceErr != nil {
 		return nil, traceErr
 	}
+	priced := len(jobs)
 	if priced == 0 {
 		return nil, truncatedBudgetErr(sawSteps, sawDecisions)
 	}

@@ -19,8 +19,8 @@ import (
 //     read (transitively, through same-package callees) by PrepareKey,
 //     or carry the struct tag paralint:"fingerprint" (coverage owed by
 //     the scenario schema and enforced on the spec side), or carry
-//     paralint:"execonly" (an execution knob, the Parallelism
-//     precedent). An execonly field read by PrepareKey is the inverse
+//     paralint:"execonly" (an execution knob that cannot change a
+//     result). An execonly field read by PrepareKey is the inverse
 //     violation and is also reported.
 //
 //   - Spec side (a package declaring a BuildSystem function returning a

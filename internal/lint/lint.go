@@ -9,8 +9,7 @@
 //     result (analyzers mapiter, nondeterm).
 //  2. Every semantic field of core.SystemConfig and the spec.Scenario
 //     tree reaches core.PrepareKey or Scenario.Fingerprint(), while
-//     execution knobs (the Parallelism precedent) are explicitly tagged
-//     out (analyzer keycover).
+//     execution knobs are explicitly tagged out (analyzer keycover).
 //  3. Everything written to NDJSON/report/golden output flows through an
 //     audited canonical encoder or a deterministic iteration (analyzer
 //     sortedout).

@@ -55,7 +55,7 @@ func runNonDeterm(pass *Pass) (any, error) {
 					return true
 				}
 				pass.flagNondeterm(file, n.Pos(), "go",
-					"bare go statement outside internal/parallel: route concurrency through parallel.For/ForErr or allowlist this site")
+					"bare go statement outside internal/parallel: route concurrency through parallel.ForEach or allowlist this site")
 			case *ast.CallExpr:
 				cp, name, ok := calleePkgFunc(pass.Pkg.Info, n)
 				if !ok {

@@ -1,22 +1,20 @@
-// Package parallel provides the bounded fork/join primitives behind
-// intra-analysis parallelism: deterministic ordered fan-out of
-// independent index-addressed work items across a capped number of
-// goroutines, and the process-wide parallelism knob the CLI and the
-// analysis service wire their flags into.
+// Package parallel provides paratime's one fan-out primitive and the
+// process-wide parallelism knob the CLI and the analysis service wire
+// their flags into.
 //
-// Every layer that goes wide inside one analysis — the per-set sharded
-// cache fixpoint, the level-parallel pipeline context fixpoint, the
-// explore state pricer — shares these primitives and the same
-// determinism contract: work items are independent (each index writes
-// only its own slot of a result vector), reductions happen after the
-// barrier in index order, and all lattice joins are element-wise max or
-// min (commutative and associative). The parallel schedule therefore
-// produces bit-identical results to the sequential loop at any worker
-// count, which the GOMAXPROCS 1-vs-8 determinism tests and differential
-// oracles enforce.
+// Fan-out happens only at the grain of independent, coarse units of
+// work: engine batches (one analysis per request), scenario and
+// experiment batches, sweep points, and the priced states of an
+// exhaustive exploration. Every unit runs the same single-threaded code
+// the sequential loop runs and shares nothing mutable with its
+// siblings; each index writes only its own slot of a result vector, and
+// callers reduce in index order after ForEach returns. Results are
+// therefore identical to the sequential loop at any worker count, which
+// the GOMAXPROCS and PARATIME_PARALLELISM determinism tests enforce.
 package parallel
 
 import (
+	"context"
 	"os"
 	"runtime"
 	"strconv"
@@ -31,10 +29,10 @@ const EnvVar = "PARATIME_PARALLELISM"
 // defaultPar holds the explicit process-wide setting (0 = automatic).
 var defaultPar atomic.Int64
 
-// SetDefault fixes the process-wide intra-analysis parallelism used
-// when a caller passes 0; n <= 0 restores automatic selection
-// (PARATIME_PARALLELISM, else GOMAXPROCS). The CLI's -parallelism flag
-// calls it once at startup.
+// SetDefault fixes the process-wide parallelism used when a caller
+// passes 0; n <= 0 restores automatic selection (PARATIME_PARALLELISM,
+// else GOMAXPROCS). The CLI's -parallelism flag calls it once at
+// startup.
 func SetDefault(n int) {
 	if n < 0 {
 		n = 0
@@ -42,9 +40,9 @@ func SetDefault(n int) {
 	defaultPar.Store(int64(n))
 }
 
-// Default returns the process-wide intra-analysis parallelism:
-// the explicit SetDefault value if any, else PARATIME_PARALLELISM if
-// set to a positive integer, else GOMAXPROCS.
+// Default returns the process-wide parallelism: the explicit SetDefault
+// value if any, else PARATIME_PARALLELISM if set to a positive integer,
+// else GOMAXPROCS.
 func Default() int {
 	if n := defaultPar.Load(); n > 0 {
 		return int(n)
@@ -66,96 +64,54 @@ func Resolve(n int) int {
 	return Default()
 }
 
-// For runs f(i) for every i in [0, n) across at most workers
-// goroutines and returns when all calls have finished (fork/join with
-// an implicit barrier). Indices are handed out in ascending order.
-// Calls must be independent: each index may only write state owned by
-// that index, which is what makes the fan-out deterministic — the
-// result vector is identical to the sequential loop regardless of
-// schedule. workers <= 1 (or n <= 1) runs inline without spawning.
-func For(workers, n int, f func(i int)) {
-	if n <= 0 {
-		return
+// ForEach runs f(0..n-1) across at most workers goroutines (<= 0 selects
+// GOMAXPROCS; 1 runs inline on the caller's goroutine) and returns the
+// error of the lowest index that failed, so the reported failure does
+// not depend on scheduling. Indices are dispatched in ascending order
+// and, after a failure, no further index is dispatched (in-flight calls
+// complete); every index below the first failure therefore still runs,
+// which keeps the returned error deterministic. Cancelling ctx also
+// stops dispatch: once every in-flight call returns, ForEach reports
+// ctx.Err() only if no dispatched index failed.
+func ForEach(ctx context.Context, workers, n int, f func(i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			if err := f(i); err != nil {
+				return err
+			}
 		}
-		return
+		return ctx.Err()
 	}
-	var next atomic.Int64
+	errs := make([]error, n)
+	idx := make(chan int)
+	var failed atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
+			for i := range idx {
+				if errs[i] = f(i); errs[i] != nil {
+					failed.Store(true)
 				}
-				f(i)
 			}
 		}()
 	}
+	for i := 0; i < n && !failed.Load() && ctx.Err() == nil; i++ {
+		idx <- i
+	}
+	close(idx)
 	wg.Wait()
-}
-
-// ForErr is For over fallible work: it runs f(i) for every i in [0, n)
-// across at most workers goroutines and returns the error of the
-// lowest index that failed, so the reported failure does not depend on
-// scheduling. Unlike engine.ForEach it keeps dispatching after a
-// failure (items are cheap and independent; total work is bounded by
-// n), which keeps the "which indices ran" set schedule-independent.
-func ForErr(workers, n int, f func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		var first error
-		for i := 0; i < n; i++ {
-			if err := f(i); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	errs := make([]error, n)
-	For(workers, n, func(i int) { errs[i] = f(i) })
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// Chunks partitions n items into at most parts contiguous ranges of
-// near-equal size, returned as [lo, hi) pairs in ascending order.
-// Fewer than parts ranges are returned when n < parts; n == 0 returns
-// nil. It is the shard planner for contiguous-range fan-out (the cache
-// fixpoint uses a weighted variant over set slot counts).
-func Chunks(n, parts int) [][2]int {
-	if n <= 0 || parts <= 0 {
-		return nil
-	}
-	if parts > n {
-		parts = n
-	}
-	out := make([][2]int, 0, parts)
-	lo := 0
-	for p := 0; p < parts; p++ {
-		hi := lo + (n-lo)/(parts-p)
-		if hi > lo {
-			out = append(out, [2]int{lo, hi})
-		}
-		lo = hi
-	}
-	return out
+	return ctx.Err()
 }

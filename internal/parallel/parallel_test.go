@@ -1,19 +1,129 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
 )
 
+// TestForEach pins the fan-out contract at every worker count,
+// including the inline (1) and GOMAXPROCS (0) selections: every index
+// runs exactly once, the lowest failing index's error wins, dispatch
+// stops after a failure or a cancellation, and ctx.Err() is reported
+// only when no index failed.
+func TestForEach(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n    int
+		// precancel cancels the context before ForEach starts; cancel(i)
+		// reports whether index i cancels it; fail returns i's error.
+		precancel bool
+		cancel    func(i int) bool
+		fail      func(i int) error
+		wantErr   string
+		// ran checks how many indices were dispatched.
+		ran func(got int64) bool
+	}{
+		{name: "coverage", n: 1000, ran: func(got int64) bool { return got == 1000 }},
+		{name: "empty", n: 0, fail: func(int) error { return errors.New("never") }, ran: func(got int64) bool { return got == 0 }},
+		{
+			name: "lowest index wins", n: 64,
+			fail: func(i int) error {
+				switch i {
+				case 3:
+					return errors.New("a")
+				case 40:
+					return errors.New("b")
+				}
+				return nil
+			},
+			wantErr: "a",
+			ran:     func(got int64) bool { return got >= 4 },
+		},
+		{
+			name: "stop on failure", n: 10000,
+			fail: func(i int) error {
+				if i >= 17 {
+					return fmt.Errorf("boom %d", i)
+				}
+				return nil
+			},
+			wantErr: "boom 17",
+			ran:     func(got int64) bool { return got >= 18 && got < 10000 },
+		},
+		{
+			name: "canceled before start", n: 100,
+			precancel: true,
+			wantErr:   context.Canceled.Error(),
+			ran:       func(got int64) bool { return got == 0 },
+		},
+		{
+			name: "canceled mid-flight", n: 10000,
+			cancel:  func(i int) bool { return i == 3 },
+			wantErr: context.Canceled.Error(),
+			ran:     func(got int64) bool { return got >= 4 && got < 10000 },
+		},
+		{
+			name: "failure outranks cancellation", n: 10000,
+			cancel: func(i int) bool { return i == 5 },
+			fail: func(i int) error {
+				if i == 2 {
+					return errors.New("task 2")
+				}
+				return nil
+			},
+			wantErr: "task 2",
+			ran:     func(got int64) bool { return got >= 3 && got < 10000 },
+		},
+	} {
+		for _, workers := range []int{0, 1, 2, 3, 8, 100} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				ctx, stop := context.WithCancel(context.Background())
+				defer stop()
+				if tc.precancel {
+					stop()
+				}
+				hits := make([]int32, tc.n)
+				var ran atomic.Int64
+				err := ForEach(ctx, workers, tc.n, func(i int) error {
+					atomic.AddInt32(&hits[i], 1)
+					ran.Add(1)
+					if tc.cancel != nil && tc.cancel(i) {
+						stop()
+					}
+					if tc.fail != nil {
+						return tc.fail(i)
+					}
+					return nil
+				})
+				if got := fmt.Sprint(err); (tc.wantErr == "" && err != nil) || (tc.wantErr != "" && got != tc.wantErr) {
+					t.Fatalf("err = %v, want %q", err, tc.wantErr)
+				}
+				if !tc.ran(ran.Load()) {
+					t.Errorf("%d indices dispatched", ran.Load())
+				}
+				for i, h := range hits {
+					if h > 1 {
+						t.Fatalf("index %d ran %d times", i, h)
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 3, 8, 100} {
 		for _, n := range []int{0, 1, 2, 7, 64, 1000} {
 			hits := make([]int32, n)
-			For(workers, n, func(i int) {
+			if err := ForEach(context.Background(), workers, n, func(i int) error {
 				atomic.AddInt32(&hits[i], 1)
-			})
+				return nil
+			}); err != nil {
+				t.Fatalf("workers=%d n=%d: %v", workers, n, err)
+			}
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("workers=%d n=%d: index %d hit %d times", workers, n, i, h)
@@ -31,7 +141,12 @@ func TestForResultsMatchSequential(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		got := make([]int, n)
-		For(workers, n, func(i int) { got[i] = i * i })
+		if err := ForEach(context.Background(), workers, n, func(i int) error {
+			got[i] = i * i
+			return nil
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: got[%d]=%d want %d", workers, i, got[i], want[i])
@@ -46,7 +161,7 @@ func TestForErrLowestIndexWins(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		// Indices 3 and 40 fail; the reported error must always be
 		// index 3's regardless of schedule.
-		err := ForErr(workers, 64, func(i int) error {
+		err := ForEach(context.Background(), workers, 64, func(i int) error {
 			switch i {
 			case 3:
 				return errA
@@ -62,52 +177,11 @@ func TestForErrLowestIndexWins(t *testing.T) {
 }
 
 func TestForErrNoError(t *testing.T) {
-	if err := ForErr(4, 32, func(i int) error { return nil }); err != nil {
+	if err := ForEach(context.Background(), 4, 32, func(i int) error { return nil }); err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	if err := ForErr(4, 0, func(i int) error { return errors.New("never") }); err != nil {
+	if err := ForEach(context.Background(), 4, 0, func(i int) error { return errors.New("never") }); err != nil {
 		t.Fatalf("n=0 must not run f: %v", err)
-	}
-}
-
-func TestChunks(t *testing.T) {
-	for _, tc := range []struct {
-		n, parts int
-	}{
-		{0, 4}, {1, 4}, {4, 4}, {5, 4}, {7, 3}, {100, 8}, {3, 100},
-	} {
-		cs := Chunks(tc.n, tc.parts)
-		if tc.n == 0 {
-			if cs != nil {
-				t.Fatalf("Chunks(0,%d) = %v, want nil", tc.parts, cs)
-			}
-			continue
-		}
-		if len(cs) > tc.parts {
-			t.Fatalf("Chunks(%d,%d): %d parts > requested %d", tc.n, tc.parts, len(cs), tc.parts)
-		}
-		// Contiguous cover of [0,n), ascending, near-equal sizes.
-		prev := 0
-		minSz, maxSz := tc.n+1, 0
-		for _, c := range cs {
-			if c[0] != prev || c[1] <= c[0] {
-				t.Fatalf("Chunks(%d,%d) = %v: bad range %v after %d", tc.n, tc.parts, cs, c, prev)
-			}
-			sz := c[1] - c[0]
-			if sz < minSz {
-				minSz = sz
-			}
-			if sz > maxSz {
-				maxSz = sz
-			}
-			prev = c[1]
-		}
-		if prev != tc.n {
-			t.Fatalf("Chunks(%d,%d) = %v: covers [0,%d) not [0,%d)", tc.n, tc.parts, cs, prev, tc.n)
-		}
-		if maxSz-minSz > 1 {
-			t.Fatalf("Chunks(%d,%d) = %v: unbalanced (min %d, max %d)", tc.n, tc.parts, cs, minSz, maxSz)
-		}
 	}
 }
 
@@ -136,18 +210,5 @@ func TestDefaultAndResolve(t *testing.T) {
 	t.Setenv(EnvVar, "bogus")
 	if d := Default(); d < 1 {
 		t.Fatalf("bogus env: Default() = %d, want >= 1", d)
-	}
-}
-
-func BenchmarkForOverhead(b *testing.B) {
-	// Fork/join cost for a trivially small body: the floor under which
-	// parallelizing a loop cannot pay off.
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var sink atomic.Int64
-			for b.Loop() {
-				For(workers, 64, func(i int) { sink.Add(int64(i)) })
-			}
-		})
 	}
 }

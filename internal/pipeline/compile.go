@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sync"
 
 	"paratime/internal/cfg"
 	"paratime/internal/isa"
@@ -90,11 +89,6 @@ type Compiled struct {
 	g      *cfg.Graph
 	ops    []InstOp
 	blocks []blockMeta
-
-	// SCC condensation, computed on first use by AnalyzeCostsPar and
-	// shared by every clone holding this artefact.
-	lvOnce sync.Once
-	lv     *cfg.Levels
 }
 
 // Compile lowers a graph for pipeline costing. Block IDs equal RPO

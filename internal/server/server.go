@@ -73,7 +73,7 @@ type Config struct {
 	// MaxBody bounds the request body in bytes; <= 0 selects
 	// DefaultMaxBody.
 	MaxBody int64
-	// Parallelism sets the process-wide intra-analysis worker count
+	// Parallelism sets the process-wide worker count
 	// (parallel.SetDefault) used by every analysis this server runs;
 	// <= 0 keeps the current default (PARATIME_PARALLELISM or
 	// GOMAXPROCS). Results are bit-identical at any value — this is
@@ -438,7 +438,7 @@ type StatsReply struct {
 		// (slot wait), in milliseconds.
 		WaitMs QueueWaitReply `json:"queue_wait_ms"`
 	} `json:"queue"`
-	// Parallelism is the effective intra-analysis worker count applied
+	// Parallelism is the effective process-wide worker count applied
 	// to every analysis this server runs.
 	Parallelism int `json:"parallelism"`
 	Engine      struct {

@@ -340,8 +340,17 @@ func TestAnalyzeCancellationReleasesSlot(t *testing.T) {
 		t.Fatalf("client error %v, want context.Canceled", err)
 	}
 
-	// The slot must come back: this request gets admitted and, with the
-	// seam released, completes normally.
+	// The slot must come back once the handler notices the disconnect,
+	// which happens asynchronously after the client's Do returns; a
+	// follow-up sent before then would be rejected with 429 and never
+	// start.
+	for deadline := time.Now().Add(10 * time.Second); len(srv.slots) != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("slot was not released after cancellation")
+		}
+	}
+	// This request gets admitted and, with the seam released, completes
+	// normally.
 	close(release)
 	done := make(chan *http.Response, 1)
 	go func() {

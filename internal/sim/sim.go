@@ -58,7 +58,9 @@ type System struct {
 	// otherwise each core gets a private L2 (its partition).
 	SharedL2 bool
 	// Bus arbitrates the path from the L1s to L2/memory; nil = private
-	// path per core (no contention, zero wait).
+	// path per core (no contention, zero wait). The policy is immutable
+	// and Run takes fresh grant state from it, so copies of a System
+	// share nothing a run mutates.
 	Bus arbiter.Arbiter
 	// Mem is the memory device configuration.
 	Mem memctrl.Config
@@ -321,8 +323,9 @@ func Run(sys System, maxCycles int64) (*Result, error) {
 		return nil, fmt.Errorf("sim: no cores")
 	}
 	ctrl := memctrl.New(sys.Mem)
+	var bus arbiter.State
 	if sys.Bus != nil {
-		sys.Bus.Reset()
+		bus = sys.Bus.NewState()
 	}
 	var sharedL2 *cache.LRU
 	if sys.L2 != nil && sys.SharedL2 {
@@ -390,8 +393,8 @@ func Run(sys System, maxCycles int64) (*Result, error) {
 			return nil, fmt.Errorf("sim: core %d exceeded %d cycles", sel, maxCycles)
 		}
 		grant := need.at
-		if sys.Bus != nil {
-			grant = sys.Bus.Request(sel, need.at)
+		if bus != nil {
+			grant = bus.Request(sel, need.at)
 		}
 		wait := grant - need.at
 		r.stats.BusTrans++

@@ -123,7 +123,7 @@ func (c PretConfig) SimulatePret(progs []*isa.Program, maxSteps uint64) ([]int64
 		if p == nil {
 			continue
 		}
-		wheel := c.wheel()
+		wheel := c.wheel().NewState()
 		st := isa.NewState(p)
 		now := int64(tid) // thread's first slot
 		var steps uint64
@@ -271,7 +271,7 @@ func (c BarreConfig) SimulateBarre(progs []*isa.Program, maxSteps uint64) ([]int
 	if len(progs) == 0 || len(progs) > c.Threads {
 		return nil, fmt.Errorf("smt: %d programs on %d threads", len(progs), c.Threads)
 	}
-	fu := arbiter.NewRoundRobin(c.Threads, c.FULatency)
+	fu := arbiter.NewRoundRobin(c.Threads, c.FULatency).NewState()
 	type thread struct {
 		st    *isa.State
 		ready int64
