@@ -14,6 +14,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"strconv"
 	"strings"
 
 	"paratime/internal/cache"
@@ -274,15 +275,38 @@ func (a *Analysis) Clone() *Analysis {
 // pipeline sweep over the same task; Parallelism never changes results,
 // so memoized artefacts are shared across worker counts).
 func PrepareKey(task Task, sys SystemConfig) string {
-	var sb strings.Builder
-	sb.WriteString(task.Prog.Fingerprint())
-	sb.WriteByte('|')
-	sb.WriteString(task.Facts.Fingerprint())
-	fmt.Fprintf(&sb, "|%+v|%+v|", sys.Mem.L1I, sys.Mem.L1D)
+	var buf [512]byte
+	b := append(buf[:0], task.Prog.Fingerprint()...)
+	b = append(b, '|')
+	b = append(b, task.Facts.Fingerprint()...)
+	b = append(b, '|')
+	b = appendCacheKey(b, sys.Mem.L1I)
+	b = append(b, '|')
+	b = appendCacheKey(b, sys.Mem.L1D)
+	b = append(b, '|')
 	if sys.Mem.L2 != nil {
-		fmt.Fprintf(&sb, "%+v", *sys.Mem.L2)
+		b = appendCacheKey(b, *sys.Mem.L2)
 	}
-	return sb.String()
+	return string(b)
+}
+
+// appendCacheKey appends c in the form fmt's %+v verb gives it, reading
+// every field: {Name:L1I Sets:16 Ways:2 LineBytes:16 HitLatency:1
+// MissPenalty:4}.
+func appendCacheKey(b []byte, c cache.Config) []byte {
+	b = append(b, "{Name:"...)
+	b = append(b, c.Name...)
+	b = append(b, " Sets:"...)
+	b = strconv.AppendInt(b, int64(c.Sets), 10)
+	b = append(b, " Ways:"...)
+	b = strconv.AppendInt(b, int64(c.Ways), 10)
+	b = append(b, " LineBytes:"...)
+	b = strconv.AppendInt(b, int64(c.LineBytes), 10)
+	b = append(b, " HitLatency:"...)
+	b = strconv.AppendInt(b, int64(c.HitLatency), 10)
+	b = append(b, " MissPenalty:"...)
+	b = strconv.AppendInt(b, int64(c.MissPenalty), 10)
+	return append(b, '}')
 }
 
 // MergedID maps an L1 reference to its merged-stream identity.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"paratime/internal/cache"
@@ -230,5 +231,21 @@ func TestCloneSharesSkeleton(t *testing.T) {
 	}
 	if a.WCET != c.WCET {
 		t.Errorf("clone WCET %d != original %d", c.WCET, a.WCET)
+	}
+}
+
+// TestCacheKeyMatchesPlusV: PrepareKey's cache.Config encoder must write
+// exactly what fmt's %+v does, so a field added to cache.Config (which
+// %+v would pick up) fails here until the encoder reads it too.
+func TestCacheKeyMatchesPlusV(t *testing.T) {
+	for _, c := range []cache.Config{
+		{},
+		DefaultSystem().Mem.L1I,
+		*DefaultSystem().Mem.L2,
+		{Name: "a b,{}:", Sets: -1, Ways: 255, LineBytes: 1 << 30, HitLatency: -2147483648, MissPenalty: 9223372036854775807},
+	} {
+		if got, want := string(appendCacheKey(nil, c)), fmt.Sprintf("%+v", c); got != want {
+			t.Errorf("appendCacheKey = %q, want %q", got, want)
+		}
 	}
 }

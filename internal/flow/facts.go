@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"sort"
-	"strings"
+	"strconv"
 
 	"paratime/internal/cfg"
 )
@@ -82,30 +82,44 @@ func (f *Facts) Fingerprint() string {
 	if f == nil {
 		return ""
 	}
-	var sb strings.Builder
+	// The key is "b:%s=%d;" per sorted bound, then per constraint
+	// "c:%s,%d,%d", one "|%d*e%d", "|%d*b%d" or "|%d" per term, and ';'.
+	var buf [256]byte
+	b := buf[:0]
 	labels := make([]string, 0, len(f.bounds))
 	for l := range f.bounds {
 		labels = append(labels, l)
 	}
 	sort.Strings(labels)
 	for _, l := range labels {
-		fmt.Fprintf(&sb, "b:%s=%d;", l, f.bounds[l])
+		b = append(b, "b:"...)
+		b = append(b, l...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(f.bounds[l]), 10)
+		b = append(b, ';')
 	}
 	for _, c := range f.Constraints {
-		fmt.Fprintf(&sb, "c:%s,%d,%d", c.Name, c.Rel, c.RHS)
+		b = append(b, "c:"...)
+		b = append(b, c.Name...)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, uint64(c.Rel), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, c.RHS, 10)
 		for _, t := range c.Terms {
+			b = append(b, '|')
+			b = strconv.AppendInt(b, t.Coef, 10)
 			switch {
 			case t.Edge != nil:
-				fmt.Fprintf(&sb, "|%d*e%d", t.Coef, t.Edge.ID)
+				b = append(b, "*e"...)
+				b = strconv.AppendInt(b, int64(t.Edge.ID), 10)
 			case t.Block != nil:
-				fmt.Fprintf(&sb, "|%d*b%d", t.Coef, t.Block.ID)
-			default:
-				fmt.Fprintf(&sb, "|%d", t.Coef)
+				b = append(b, "*b"...)
+				b = strconv.AppendInt(b, int64(t.Block.ID), 10)
 			}
 		}
-		sb.WriteByte(';')
+		b = append(b, ';')
 	}
-	return sb.String()
+	return string(b)
 }
 
 // Apply writes annotated bounds into the graph's loops. A label matches

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -74,9 +75,32 @@ func (p *Program) End() uint32 { return p.Base + uint32(len(p.Insts))*InstBytes 
 // identity.
 func (p *Program) Fingerprint() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "base:%d;", p.Base)
+	// Records are formatted into a fixed buffer and flushed to the hash
+	// whenever the next one might not fit; the hashed bytes are exactly
+	// "base:%d;", then "i:%d,%d,%d,%d,%d,%d;" per instruction, "l:%s=%d;"
+	// per sorted label and "d:%d=%d;" per sorted data word.
+	var buf [512]byte
+	b := append(buf[:0], "base:"...)
+	b = strconv.AppendUint(b, uint64(p.Base), 10)
+	b = append(b, ';')
 	for _, in := range p.Insts {
-		fmt.Fprintf(h, "i:%d,%d,%d,%d,%d,%d;", in.Op, in.Rd, in.Rs1, in.Rs2, in.Imm, in.Target)
+		if len(b) > len(buf)-maxInstRecord {
+			h.Write(b)
+			b = buf[:0]
+		}
+		b = append(b, "i:"...)
+		b = strconv.AppendUint(b, uint64(in.Op), 10)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, uint64(in.Rd), 10)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, uint64(in.Rs1), 10)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, uint64(in.Rs2), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(in.Imm), 10)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, uint64(in.Target), 10)
+		b = append(b, ';')
 	}
 	labels := make([]string, 0, len(p.Labels))
 	for l := range p.Labels {
@@ -84,7 +108,15 @@ func (p *Program) Fingerprint() string {
 	}
 	slices.Sort(labels)
 	for _, l := range labels {
-		fmt.Fprintf(h, "l:%s=%d;", l, p.Labels[l])
+		if len(b)+len(l) > len(buf)-maxDataRecord {
+			h.Write(b)
+			b = buf[:0]
+		}
+		b = append(b, "l:"...)
+		b = append(b, l...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(p.Labels[l]), 10)
+		b = append(b, ';')
 	}
 	addrs := make([]uint32, 0, len(p.Data))
 	for a := range p.Data {
@@ -92,10 +124,28 @@ func (p *Program) Fingerprint() string {
 	}
 	slices.Sort(addrs)
 	for _, a := range addrs {
-		fmt.Fprintf(h, "d:%d=%d;", a, p.Data[a])
+		if len(b) > len(buf)-maxDataRecord {
+			h.Write(b)
+			b = buf[:0]
+		}
+		b = append(b, "d:"...)
+		b = strconv.AppendUint(b, uint64(a), 10)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(p.Data[a]), 10)
+		b = append(b, ';')
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	h.Write(b)
+	return hex.EncodeToString(h.Sum(buf[:0]))
 }
+
+// Upper bounds on the formatted length of one Fingerprint record: an
+// instruction is "i:" plus four 3-digit and two 11-character fields,
+// five commas and a semicolon; a label or data record is at most
+// "l:"/"d:", two 20-digit numbers, '=' and ';' beyond its label text.
+const (
+	maxInstRecord = 2 + 4*3 + 2*11 + 6
+	maxDataRecord = 2 + 2*20 + 2
+)
 
 // LabelAt returns the (sorted, "/"-joined) labels attached to instruction
 // index i, or "".

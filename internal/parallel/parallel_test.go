@@ -22,7 +22,11 @@ func TestForEach(t *testing.T) {
 		precancel bool
 		cancel    func(i int) bool
 		fail      func(i int) error
-		wantErr   string
+		// gate, when positive, holds every index above it until index
+		// gate has run, so the trigger cannot be descheduled while its
+		// siblings drain all n indices.
+		gate    int
+		wantErr string
 		// ran checks how many indices were dispatched.
 		ran func(got int64) bool
 	}{
@@ -62,6 +66,7 @@ func TestForEach(t *testing.T) {
 		{
 			name: "canceled mid-flight", n: 10000,
 			cancel:  func(i int) bool { return i == 3 },
+			gate:    3,
 			wantErr: context.Canceled.Error(),
 			ran:     func(got int64) bool { return got >= 4 && got < 10000 },
 		},
@@ -74,6 +79,7 @@ func TestForEach(t *testing.T) {
 				}
 				return nil
 			},
+			gate:    5,
 			wantErr: "task 2",
 			ran:     func(got int64) bool { return got >= 3 && got < 10000 },
 		},
@@ -87,11 +93,18 @@ func TestForEach(t *testing.T) {
 				}
 				hits := make([]int32, tc.n)
 				var ran atomic.Int64
+				gateRan := make(chan struct{})
 				err := ForEach(ctx, workers, tc.n, func(i int) error {
+					if tc.gate > 0 && i > tc.gate {
+						<-gateRan
+					}
 					atomic.AddInt32(&hits[i], 1)
 					ran.Add(1)
 					if tc.cancel != nil && tc.cancel(i) {
 						stop()
+					}
+					if tc.gate > 0 && i == tc.gate {
+						close(gateRan)
 					}
 					if tc.fail != nil {
 						return tc.fail(i)

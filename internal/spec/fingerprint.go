@@ -1,10 +1,12 @@
 package spec
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 )
 
 // Fingerprint returns a stable content address for the scenario: a
@@ -38,5 +40,40 @@ func (s *Scenario) Fingerprint() (string, error) {
 		return "", fmt.Errorf("spec: fingerprint: %w", err)
 	}
 	sum := sha256.Sum256(data)
-	return fmt.Sprintf("spec%d-%s", Version, hex.EncodeToString(sum[:])), nil
+	return fingerprintOf(sum[:]), nil
+}
+
+// nullTasks is how the canonical encoding renders a nil Tasks field.
+// Only the schema version and the escaped name precede it, and neither
+// can contain it, so its first occurrence is the field.
+var nullTasks = []byte(`"tasks":null`)
+
+// fingerprintWithTasks returns Fingerprint() of the already validated
+// scenario s, given tasks = json.Marshal(s.Tasks): it encodes s without
+// its tasks and hashes that encoding with tasks spliced in at the tasks
+// field, which is byte for byte the encoding Fingerprint hashes.
+//
+//paralint:canonical the canonical scenario encoding with a cached tasks array spliced in; byte identity with Fingerprint pinned by FuzzSweepDecode and the sweep golden
+func (s *Scenario) fingerprintWithTasks(tasks []byte) (string, error) {
+	rest := *s
+	rest.Tasks = nil
+	data, err := json.Marshal(&rest)
+	if err != nil {
+		return "", fmt.Errorf("spec: fingerprint: %w", err)
+	}
+	i := bytes.Index(data, nullTasks)
+	if i < 0 {
+		return "", fmt.Errorf("spec: fingerprint: no tasks field in the scenario encoding")
+	}
+	at := i + len(`"tasks":`)
+	h := sha256.New()
+	h.Write(data[:at])
+	h.Write(tasks)
+	h.Write(data[i+len(nullTasks):])
+	return fingerprintOf(h.Sum(nil)), nil
+}
+
+// fingerprintOf renders a scenario digest as its fingerprint.
+func fingerprintOf(sum []byte) string {
+	return "spec" + strconv.Itoa(Version) + "-" + hex.EncodeToString(sum)
 }

@@ -6,7 +6,9 @@
 // million points never exists in memory as a whole, and every point has
 // a deterministic coordinate-derived ID: the same document always
 // yields the same points in the same order, and editing one axis value
-// only changes the points that use it.
+// only changes the points that use it. A run over many points
+// enumerates them through one SweepEnum, which builds and encodes each
+// task set once instead of once per point.
 package spec
 
 import (
@@ -16,6 +18,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 
 	"paratime/internal/workload"
 )
@@ -87,23 +90,20 @@ type sweepAxis struct {
 }
 
 // axes returns the active dimensions in canonical order. Inactive
-// (empty) axes contribute nothing; the base value stays in effect.
-func (d *SweepDoc) axes() []sweepAxis {
+// (empty) axes contribute nothing; the base value stays in effect. The
+// taskSets axis draws value v's tasks from sets[v].
+func (d *SweepDoc) axes(sets []sweepTasks) []sweepAxis {
 	var out []sweepAxis
 	if n := len(d.Axes.TaskSets); n > 0 {
 		out = append(out, sweepAxis{
 			name: "tasks", size: n,
 			label: func(v int) string { return d.Axes.TaskSets[v] },
 			apply: func(s *Scenario, v int) error {
-				tasks, err := workload.Set(d.Axes.TaskSets[v])
+				tasks, err := sets[v].specs()
 				if err != nil {
 					return err
 				}
-				specs, err := TasksToSpec(tasks)
-				if err != nil {
-					return err
-				}
-				s.Tasks = specs
+				s.Tasks = tasks
 				return nil
 			},
 		})
@@ -166,13 +166,7 @@ func (d *SweepDoc) axes() []sweepAxis {
 
 // Points returns the number of enumerated points: the product of the
 // active axis sizes, or 1 for a document with no axes.
-func (d *SweepDoc) Points() int {
-	n := 1
-	for _, ax := range d.axes() {
-		n *= ax.size
-	}
-	return n
-}
+func (d *SweepDoc) Points() int { return d.Enumerate().Points() }
 
 // SweepPoint is one materialized point of the product space.
 type SweepPoint struct {
@@ -189,35 +183,138 @@ type SweepPoint struct {
 	// so the content fingerprint — and therefore any persisted result —
 	// depends only on what is actually analyzed.
 	Scenario *Scenario
+	// Fingerprint is Scenario.Fingerprint(), filled by SweepEnum.Point
+	// from its task set's cached encoding. SweepDoc.Point leaves it
+	// empty: one point alone gains nothing from the cache.
+	Fingerprint string
 }
 
 // Point materializes point i of the enumeration: the base scenario with
-// each active axis's coordinate value applied, validated. Points may be
-// materialized concurrently; the returned scenario shares immutable
-// payload slices with the document and must be treated as read-only
-// (every consumer in this codebase does).
+// each active axis's coordinate value applied, validated. It is a
+// one-shot enumeration (see Enumerate), so it builds only the task set
+// point i uses. Points may be materialized concurrently; the returned
+// scenario shares immutable payload slices with the document and must
+// be treated as read-only (every consumer in this codebase does).
 func (d *SweepDoc) Point(i int) (*SweepPoint, error) {
-	axes := d.axes()
-	n := d.Points()
-	if i < 0 || i >= n {
-		return nil, fmt.Errorf("spec: sweep point %d outside [0,%d)", i, n)
+	pt, _, err := d.Enumerate().materialize(i)
+	return pt, err
+}
+
+// SweepEnum enumerates the points of one sweep document for one run. It
+// resolves the axes once and builds each task set at most once, on
+// first use, together with its canonical JSON encoding, so pricing many
+// points over few task sets neither rebuilds nor re-encodes their
+// programs: points of one set share its TaskSpec slice, and their
+// fingerprints hash the cached encoding. Point may be called
+// concurrently. The document must not change while the enumerator is in
+// use.
+type SweepEnum struct {
+	doc    *SweepDoc
+	axes   []sweepAxis
+	points int
+	// sets holds one entry per taskSets value, or, without that axis,
+	// one entry holding the base scenario's own tasks.
+	sets []sweepTasks
+}
+
+// sweepTasks is one task set of an enumeration, built and encoded at
+// most once each.
+type sweepTasks struct {
+	name    string // the taskSets value
+	once    sync.Once
+	tasks   []TaskSpec
+	err     error
+	encOnce sync.Once
+	enc     []byte
+	encErr  error
+}
+
+// specs returns the set's tasks, building them on first use.
+func (t *sweepTasks) specs() ([]TaskSpec, error) {
+	t.once.Do(func() {
+		tasks, err := workload.Set(t.name)
+		if err == nil {
+			t.tasks, err = TasksToSpec(tasks)
+		}
+		t.err = err
+	})
+	return t.tasks, t.err
+}
+
+// encoding returns json.Marshal of the set's tasks (which specs has
+// already built), encoding them on first use.
+//
+//paralint:canonical the tasks array of the canonical scenario encoding, spliced into point fingerprints; byte identity pinned by FuzzSweepDecode and the sweep golden
+func (t *sweepTasks) encoding() ([]byte, error) {
+	t.encOnce.Do(func() { t.enc, t.encErr = json.Marshal(t.tasks) })
+	return t.enc, t.encErr
+}
+
+// Enumerate returns an enumerator over the document's points.
+func (d *SweepDoc) Enumerate() *SweepEnum {
+	e := &SweepEnum{doc: d, points: 1}
+	if n := len(d.Axes.TaskSets); n > 0 {
+		e.sets = make([]sweepTasks, n)
+		for v, name := range d.Axes.TaskSets {
+			e.sets[v].name = name
+		}
+	} else {
+		// The base tasks need no building: mark them built.
+		e.sets = make([]sweepTasks, 1)
+		e.sets[0].once.Do(func() { e.sets[0].tasks = d.Base.Tasks })
+	}
+	e.axes = d.axes(e.sets)
+	for _, ax := range e.axes {
+		e.points *= ax.size
+	}
+	return e
+}
+
+// Points returns the number of enumerated points.
+func (e *SweepEnum) Points() int { return e.points }
+
+// Point materializes point i (see SweepDoc.Point) and its fingerprint.
+func (e *SweepEnum) Point(i int) (*SweepPoint, error) {
+	pt, set, err := e.materialize(i)
+	if err != nil {
+		return nil, err
+	}
+	enc, err := set.encoding()
+	if err == nil {
+		pt.Fingerprint, err = pt.Scenario.fingerprintWithTasks(enc)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("spec: sweep point %d (%s): %w", i, pt.ID, err)
+	}
+	return pt, nil
+}
+
+// materialize builds and validates point i's scenario and returns it
+// with the task set it uses.
+func (e *SweepEnum) materialize(i int) (*SweepPoint, *sweepTasks, error) {
+	if i < 0 || i >= e.points {
+		return nil, nil, fmt.Errorf("spec: sweep point %d outside [0,%d)", i, e.points)
 	}
 	// Row-major decomposition, last axis fastest.
-	coord := make([]int, len(axes))
+	coord := make([]int, len(e.axes))
 	rem := i
-	for a := len(axes) - 1; a >= 0; a-- {
-		coord[a] = rem % axes[a].size
-		rem /= axes[a].size
+	for a := len(e.axes) - 1; a >= 0; a-- {
+		coord[a] = rem % e.axes[a].size
+		rem /= e.axes[a].size
 	}
-	s := d.Base // value copy; apply steps replace fields, never mutate in place
-	pt := &SweepPoint{Index: i, Coords: make(map[string]string, len(axes))}
+	set := &e.sets[0]
+	if len(e.doc.Axes.TaskSets) > 0 {
+		set = &e.sets[coord[0]] // taskSets is the first axis
+	}
+	s := e.doc.Base // value copy; apply steps replace fields, never mutate in place
+	pt := &SweepPoint{Index: i, Coords: make(map[string]string, len(e.axes))}
 	var id []string
-	for a, ax := range axes {
+	for a, ax := range e.axes {
 		label := ax.label(coord[a])
 		pt.Coords[ax.name] = label
 		id = append(id, ax.name+"="+label)
 		if err := ax.apply(&s, coord[a]); err != nil {
-			return nil, fmt.Errorf("spec: sweep point %d (%s): %w", i, strings.Join(id, ","), err)
+			return nil, nil, fmt.Errorf("spec: sweep point %d (%s): %w", i, strings.Join(id, ","), err)
 		}
 	}
 	pt.ID = "base"
@@ -225,10 +322,10 @@ func (d *SweepDoc) Point(i int) (*SweepPoint, error) {
 		pt.ID = strings.Join(id, ",")
 	}
 	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("spec: sweep point %d (%s): %w", i, pt.ID, err)
+		return nil, nil, fmt.Errorf("spec: sweep point %d (%s): %w", i, pt.ID, err)
 	}
 	pt.Scenario = &s
-	return pt, nil
+	return pt, set, nil
 }
 
 // Validate checks the sweep document: schema versions, axis bounds and
@@ -236,7 +333,12 @@ func (d *SweepDoc) Point(i int) (*SweepPoint, error) {
 // as a cheap early smoke of the base — that point 0 materializes into a
 // valid scenario. Remaining points are validated as they are
 // materialized.
-func (d *SweepDoc) Validate() error {
+func (d *SweepDoc) Validate() error { return d.Enumerate().Validate() }
+
+// Validate checks the enumerator's document (see SweepDoc.Validate).
+// Point 0's task set stays built for the points that follow.
+func (e *SweepEnum) Validate() error {
+	d := e.doc
 	if d.Sweep != SweepVersion {
 		return fmt.Errorf("spec: unsupported sweep schema version %d (this build supports \"sweep\": %d)", d.Sweep, SweepVersion)
 	}
@@ -287,10 +389,8 @@ func (d *SweepDoc) Validate() error {
 	if len(d.Axes.TaskSets) == 0 && len(d.Base.Tasks) == 0 {
 		return fmt.Errorf("spec: sweep base has no tasks and no taskSets axis")
 	}
-	if _, err := d.Point(0); err != nil {
-		return err
-	}
-	return nil
+	_, _, err := e.materialize(0)
+	return err
 }
 
 // validateAxisValues checks each axis's entries individually: in-range
@@ -301,7 +401,7 @@ func (d *SweepDoc) Validate() error {
 func (d *SweepDoc) validateAxisValues() error {
 	seenStr := map[string]bool{}
 	for i, name := range d.Axes.TaskSets {
-		if _, err := workload.Set(name); err != nil {
+		if err := workload.CheckSet(name); err != nil {
 			return fmt.Errorf("spec: sweep taskSets[%d]: %w", i, err)
 		}
 		if seenStr[name] {

@@ -1,9 +1,13 @@
 package spec
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"paratime/internal/parallel"
 )
 
 // sampleSweep is a three-axis product space over named task sets, bus
@@ -113,6 +117,45 @@ func TestSweepFingerprintsDistinct(t *testing.T) {
 		if fp2 != fp {
 			t.Fatalf("point %d fingerprint unstable: %s vs %s", i, fp, fp2)
 		}
+	}
+}
+
+// TestSweepEnumerator: a run's enumerator, called concurrently, yields
+// every point exactly as a one-shot Point does, with the spliced
+// fingerprint equal to Scenario.Fingerprint(), and the points of one
+// task set share a single built TaskSpec slice.
+func TestSweepEnumerator(t *testing.T) {
+	d := sampleSweep()
+	e := d.Enumerate()
+	pts := make([]*SweepPoint, e.Points())
+	if err := parallel.ForEach(context.Background(), 4, len(pts), func(i int) (err error) {
+		pts[i], err = e.Point(i)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, pt := range pts {
+		fp, err := pt.Scenario.Fingerprint()
+		if err != nil || pt.Fingerprint != fp {
+			t.Fatalf("point %d: spliced fingerprint %q, Fingerprint() = %q, %v", i, pt.Fingerprint, fp, err)
+		}
+		fresh, err := d.Point(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh.Fingerprint != "" {
+			t.Errorf("point %d: one-shot Point filled Fingerprint", i)
+		}
+		if fresh.Fingerprint = fp; !reflect.DeepEqual(pt, fresh) {
+			t.Errorf("point %d: enumerator and one-shot points differ", i)
+		}
+		// Points 0-3 use fib24, 4-7 crc16 (taskSets varies slowest).
+		if first := pts[i/4*4]; &pt.Scenario.Tasks[0] != &first.Scenario.Tasks[0] {
+			t.Errorf("point %d does not share its task set's TaskSpecs with point %d", i, first.Index)
+		}
+	}
+	if &pts[0].Scenario.Tasks[0] == &pts[4].Scenario.Tasks[0] {
+		t.Error("points of different task sets share TaskSpecs")
 	}
 }
 
@@ -299,6 +342,9 @@ func TestSweepNoAxes(t *testing.T) {
 
 // FuzzSweepDecode: DecodeSweep must never panic, and any accepted
 // document must re-encode canonically and materialize its first point.
+// At its first and last points a run's enumerator must agree with a
+// fresh one-shot Point, and its spliced fingerprint with the scenario's
+// own Fingerprint.
 func FuzzSweepDecode(f *testing.F) {
 	seed, err := sampleSweep().Encode()
 	if err != nil {
@@ -308,6 +354,23 @@ func FuzzSweepDecode(f *testing.F) {
 	f.Add(`{"sweep":1}`)
 	f.Add(`{"sweep":1,"base":{"spec":1},"axes":{"busDelay":[1,2]}}`)
 	f.Add(`{"sweep":1,"base":{"spec":1,"mode":{"kind":"solo"}},"axes":{"taskSets":["suite"]}}`)
+	// A name holding the splice marker and HTML-escaped characters, and
+	// base tasks with no taskSets axis.
+	tricky := sampleSweep()
+	tricky.Base.Name = `x"tasks":null<&>` + "\u2028"
+	if b, err := tricky.Encode(); err == nil {
+		f.Add(string(b))
+	} else {
+		f.Fatal(err)
+	}
+	based := sampleSweep()
+	based.Axes.TaskSets = nil
+	based.Base.Tasks = []TaskSpec{{Name: "t<1>", Source: "        halt", Bounds: map[string]int{"b": 2}}}
+	if b, err := based.Encode(); err == nil {
+		f.Add(string(b))
+	} else {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data string) {
 		d, err := DecodeSweep([]byte(data))
 		if err != nil {
@@ -326,6 +389,24 @@ func FuzzSweepDecode(f *testing.F) {
 		}
 		if _, err := d.Point(0); err != nil {
 			t.Fatalf("validated document has no point 0: %v", err)
+		}
+		points := d.Enumerate()
+		for _, i := range []int{0, d.Points() - 1} {
+			pt, err := points.Point(i)
+			fresh, ferr := d.Point(i)
+			if fmt.Sprint(err) != fmt.Sprint(ferr) {
+				t.Fatalf("point %d: enumerator error %v, one-shot error %v", i, err, ferr)
+			}
+			if err != nil {
+				continue
+			}
+			fp, err := pt.Scenario.Fingerprint()
+			if err != nil || pt.Fingerprint != fp {
+				t.Fatalf("point %d: spliced fingerprint %q, Fingerprint() = %q, %v", i, pt.Fingerprint, fp, err)
+			}
+			if fresh.Fingerprint = pt.Fingerprint; !reflect.DeepEqual(pt, fresh) {
+				t.Fatalf("point %d: enumerator and one-shot points differ", i)
+			}
 		}
 	})
 }

@@ -137,7 +137,10 @@ func (s *Summary) String() string {
 // O(parallelism): at most a small window of results is in flight or
 // buffered for reordering at any moment.
 func Run(ctx context.Context, doc *spec.SweepDoc, opt Options, emit func(Line) error) (*Summary, error) {
-	if err := doc.Validate(); err != nil {
+	// One enumerator serves the whole run, so each task set is built and
+	// encoded once however many points use it.
+	points := doc.Enumerate()
+	if err := points.Validate(); err != nil {
 		return nil, err
 	}
 	eng := opt.Engine
@@ -145,7 +148,7 @@ func Run(ctx context.Context, doc *spec.SweepDoc, opt Options, emit func(Line) e
 		eng = engine.New(0)
 	}
 	workers := parallel.Resolve(opt.Parallelism)
-	n := doc.Points()
+	n := points.Points()
 	if workers > n {
 		workers = n
 	}
@@ -183,7 +186,7 @@ func Run(ctx context.Context, doc *spec.SweepDoc, opt Options, emit func(Line) e
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			l := price(ctx, doc, i, eng, opt.Manifest)
+			l := price(ctx, points, i, eng, opt.Manifest)
 			account(l)
 			if err := emit(l); err != nil {
 				return nil, err
@@ -226,7 +229,7 @@ func Run(ctx context.Context, doc *spec.SweepDoc, opt Options, emit func(Line) e
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results <- price(runCtx, doc, i, eng, opt.Manifest)
+				results <- price(runCtx, points, i, eng, opt.Manifest)
 			}
 		}()
 	}
@@ -290,18 +293,13 @@ func Run(ctx context.Context, doc *spec.SweepDoc, opt Options, emit func(Line) e
 // collector discards everything once the run is failing).
 //
 //paralint:canonical manifest payloads are canonical Report encodings keyed by scenario fingerprint; byte-compared on reuse
-func price(ctx context.Context, doc *spec.SweepDoc, idx int, eng *engine.Engine, manifest cachestore.CacheBackend) Line {
-	pt, err := doc.Point(idx)
+func price(ctx context.Context, points *spec.SweepEnum, idx int, eng *engine.Engine, manifest cachestore.CacheBackend) Line {
+	pt, err := points.Point(idx)
 	if err != nil {
 		return Line{Index: idx, Error: err.Error()}
 	}
-	line := Line{Index: idx, ID: pt.ID, Coords: pt.Coords}
-	fp, err := pt.Scenario.Fingerprint()
-	if err != nil {
-		line.Error = err.Error()
-		return line
-	}
-	line.Fingerprint = fp
+	fp := pt.Fingerprint
+	line := Line{Index: idx, ID: pt.ID, Coords: pt.Coords, Fingerprint: fp}
 	if manifest != nil {
 		if v, ok := manifest.Get(manifestKey(fp)); ok {
 			if payload, ok := v.([]byte); ok {

@@ -326,20 +326,33 @@ func SetNames() []string {
 // slots in list order, so the same name always produces byte-identical
 // programs. Unknown names return an error listing the vocabulary.
 func Set(name string) ([]core.Task, error) {
+	if err := CheckSet(name); err != nil {
+		return nil, err
+	}
 	if name == "suite" {
 		return Suite(), nil
 	}
 	parts := strings.Split(name, "+")
 	tasks := make([]core.Task, len(parts))
 	for i, part := range parts {
-		build, ok := singles[part]
-		if !ok {
-			return nil, fmt.Errorf("workload: unknown task set %q (component %q; known: %s, joined with \"+\")",
-				name, part, strings.Join(SetNames(), " "))
-		}
-		tasks[i] = build(Slot(i))
+		tasks[i] = singles[part](Slot(i))
 	}
 	return tasks, nil
+}
+
+// CheckSet returns the error Set would return for name, without
+// building any program.
+func CheckSet(name string) error {
+	if name == "suite" {
+		return nil
+	}
+	for _, part := range strings.Split(name, "+") {
+		if _, ok := singles[part]; !ok {
+			return fmt.Errorf("workload: unknown task set %q (component %q; known: %s, joined with \"+\")",
+				name, part, strings.Join(SetNames(), " "))
+		}
+	}
+	return nil
 }
 
 // Random returns a seeded random structured program: a loop nest of
