@@ -637,46 +637,6 @@ func TestClassificationSoundnessRandomLoops(t *testing.T) {
 	}
 }
 
-// TestTouchedSetsMatchesTouchedLines pins the legacy map-shaped wrapper
-// to the dense per-set slices it adapts.
-func TestTouchedSetsMatchesTouchedLines(t *testing.T) {
-	g := buildGraph(t, `
-        li   r1, 20
-loop:   add  r2, r2, r1
-        add  r3, r3, r2
-        addi r1, r1, -1
-        bne  r1, r0, loop
-        halt`)
-	geom := Config{Name: "T", Sets: 4, Ways: 2, LineBytes: 8}
-	res := MustAnalyze(g, FetchStream(g), geom)
-	lines, ok1 := res.TouchedLines()
-	sets, ok2 := res.TouchedSets()
-	if !ok1 || !ok2 {
-		t.Fatal("fetch stream has no unknown refs; both forms must be precise")
-	}
-	total := 0
-	for s, ls := range lines {
-		if len(ls) == 0 {
-			if _, present := sets[s]; present {
-				t.Errorf("set %d: empty in dense form but present in map form", s)
-			}
-			continue
-		}
-		total += len(ls)
-		if len(sets[s]) != len(ls) {
-			t.Errorf("set %d: %d lines dense vs %d map", s, len(ls), len(sets[s]))
-		}
-		for _, ln := range ls {
-			if !sets[s][ln] {
-				t.Errorf("set %d: line %d missing from map form", s, ln)
-			}
-		}
-	}
-	if total == 0 {
-		t.Error("expected touched lines in a straight fetch stream")
-	}
-}
-
 // TestDataClassificationSoundnessRandom fuzzes data reference streams —
 // random mixes of scalar reuse and array walks with varying strides —
 // and validates every classification claim against the concrete LRU on

@@ -140,11 +140,11 @@ func TestCloneIsolation(t *testing.T) {
 		t.Fatalf("stats = %d hits / %d misses, want 1 / 1", hits, misses)
 	}
 	// Corrupt every L2 set of the first clone.
-	shift := map[int]int{}
-	for s := 0; s < as[0].L2.Cfg.Sets; s++ {
+	shift := make([]int, as[0].L2.Cfg.Sets)
+	for s := range shift {
 		shift[s] = as[0].L2.Cfg.Ways
 	}
-	as[0].L2.Reclassify(shift)
+	as[0].L2.ReclassifyShift(shift)
 	if err := as[0].ComputeWCET(); err != nil {
 		t.Fatal(err)
 	}
@@ -364,11 +364,11 @@ func TestBackendsPreserveCloneIsolation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shift := map[int]int{}
-			for s := 0; s < as[0].L2.Cfg.Sets; s++ {
+			shift := make([]int, as[0].L2.Cfg.Sets)
+			for s := range shift {
 				shift[s] = as[0].L2.Cfg.Ways
 			}
-			as[0].L2.Reclassify(shift)
+			as[0].L2.ReclassifyShift(shift)
 			if err := as[0].ComputeWCET(); err != nil {
 				t.Fatal(err)
 			}

@@ -17,7 +17,6 @@ import (
 	"paratime/internal/interfere"
 	"paratime/internal/memctrl"
 	"paratime/internal/parallel"
-	"paratime/internal/partition"
 	"paratime/internal/pipeline"
 	"paratime/internal/report"
 	"paratime/internal/sched"
@@ -376,45 +375,33 @@ func Exp07Bypass() (*Result, error) {
 
 // Exp08PartitionLocking (§4.2, Suhendra & Mitra): core-based partitioning
 // beats task-based; dynamic locking beats static on phased workloads.
+// Rebased onto the Scenario API: the two partitioning schemes and the
+// two locking policies are the four exported e8 scenarios.
 func Exp08PartitionLocking() (*Result, error) {
-	sys := defaultSys()
-	l2 := cache.Config{Name: "L2", Sets: 32, Ways: 4, LineBytes: 32, HitLatency: 4}
-	sys.Mem.L2 = &l2
-	tasks := []core.Task{
-		workload.MemCopy(48, workload.Slot(0)),
-		workload.CRC(12, workload.Slot(1)),
-		workload.FIR(12, 4, workload.Slot(2)),
-		workload.CountBits(6, workload.Slot(3)),
-	}
-	taskW, err := partition.WCETs(tasks, sys, partition.TaskBased, nil, 2)
+	scs, err := exportE08()
 	if err != nil {
 		return nil, err
 	}
-	coreW, err := partition.WCETs(tasks, sys, partition.CoreBased, []int{0, 0, 1, 1}, 2)
-	if err != nil {
-		return nil, err
+	reps := make([]*spec.Report, len(scs))
+	for i, sc := range scs {
+		if reps[i], err = runScenario(sc); err != nil {
+			return nil, err
+		}
 	}
+	repTask, repCore, st, dy := reps[0], reps[1], reps[2].Tasks[0].WCET, reps[3].Tasks[0].WCET
 	t := report.New("E8: partitioning scheme × locking (4 tasks, 2 cores)",
 		"task", "task-based WCET", "core-based WCET")
 	var sumT, sumC float64
-	for i := range tasks {
-		sumT += float64(taskW[i])
-		sumC += float64(coreW[i])
-		t.Add(tasks[i].Name, taskW[i], coreW[i])
+	for i := range repTask.Tasks {
+		tw, cw := repTask.Tasks[i].WCET, repCore.Tasks[i].WCET
+		sumT += float64(tw)
+		sumC += float64(cw)
+		t.Add(repTask.Tasks[i].Name, tw, cw)
 	}
-	phased := phasedTask()
-	st, err := partition.StaticLock(phased, sys, 40)
-	if err != nil {
-		return nil, err
-	}
-	dy, err := partition.DynamicLock(phased, sys, 40)
-	if err != nil {
-		return nil, err
-	}
-	t.Add("-- locking (phased task) --", "static "+fmt.Sprint(st.WCET), "dynamic "+fmt.Sprint(dy.WCET))
+	t.Add("-- locking (phased task) --", "static "+fmt.Sprint(st), "dynamic "+fmt.Sprint(dy))
 	return &Result{Table: t, Metrics: map[string]float64{
 		"taskbased_sum": sumT, "corebased_sum": sumC,
-		"static_lock": float64(st.WCET), "dynamic_lock": float64(dy.WCET),
+		"static_lock": float64(st), "dynamic_lock": float64(dy),
 	}}, nil
 }
 

@@ -19,7 +19,7 @@ func BenchmarkExplore(b *testing.B) {
 	states := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Explore(sys, inputs, budget)
+		res, err := ExplorePar(sys, inputs, budget, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

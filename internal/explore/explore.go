@@ -19,15 +19,17 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"paratime/internal/isa"
+	"paratime/internal/parallel"
 	"paratime/internal/sim"
 )
 
-// Default budgets (applied by Explore when the corresponding Budget
+// Default budgets (applied by ExplorePar when the corresponding Budget
 // field is zero).
 const (
 	DefaultMaxBranchDecisions = 16
@@ -138,6 +140,11 @@ type trace struct {
 	// reason names the Budget field that cut the trace off ("MaxSteps"
 	// or "MaxBranchDecisions"); empty for complete traces.
 	reason string
+	// assign is the input assignment the trace ran under and regs its
+	// sim.CoreConfig.InitRegs vector, shared read-only by every priced
+	// state that uses this (core, assignment).
+	assign []RegValue
+	regs   []int32
 }
 
 // truncatedBudgetErr is the all-truncated failure, naming the Budget
@@ -155,12 +162,25 @@ func truncatedBudgetErr(sawSteps, sawDecisions bool) error {
 	return fmt.Errorf("explore: no state could be priced within the budgets (every trace exceeded %s)", limit)
 }
 
-// Explore enumerates every input assignment and initial cache pattern
-// within the budget, prices each state with sim.Run, and returns the
-// per-core exact worst case with witnesses. Enumeration order is
-// deterministic: patterns outermost (cold first), then assignments in
-// row-major declared-value order with the last input varying fastest.
-func Explore(sys sim.System, inputs []Input, b Budget) (*Result, error) {
+// ExplorePar enumerates every input assignment and initial cache
+// pattern within the budget, prices each state with sim.Run on up to
+// workers goroutines (<= 1 prices inline), and returns the per-core
+// exact worst case with witnesses. Enumeration order is deterministic:
+// patterns outermost (cold first), then assignments in row-major
+// declared-value order with the last input varying fastest. The result
+// — including witnesses, truncation flags, and every error message — is
+// identical at any worker count:
+//
+//   - a sequential scan fixes the exact priced-state list (memoized
+//     taint traces decide which combinations are priceable, MaxStates
+//     caps the list);
+//   - the simulations, which are pure functions of their start state,
+//     then run through parallel.ForEach, whose lowest-index error is
+//     the first failure in enumeration order: it names that state's
+//     number and outranks a trace error from any later combination;
+//   - a sequential reduce in enumeration order accumulates the worst
+//     cases, so ties resolve to the lowest state index.
+func ExplorePar(sys sim.System, inputs []Input, b Budget, workers int) (*Result, error) {
 	b = b.withDefaults()
 	n := len(sys.Cores)
 	if n == 0 {
@@ -183,33 +203,48 @@ func Explore(sys sim.System, inputs []Input, b Budget) (*Result, error) {
 		if tr, ok := traces[k]; ok {
 			return tr, nil
 		}
-		tr, err := runTaint(sys.Cores[core].Prog, assignFor(perCore[core], idx), b)
+		assign := assignFor(perCore[core], idx)
+		tr, err := runTaint(sys.Cores[core].Prog, assign, b)
 		if err != nil {
 			return nil, fmt.Errorf("explore: core %d (%s): %w", core, sys.Cores[core].Name, err)
 		}
+		tr.assign, tr.regs = assign, initRegs(assign)
 		traces[k] = tr
 		return tr, nil
 	}
 
+	// Phase 1: sequential scan fixing the priced-state list. Pricing
+	// cannot change an enumeration decision (the loop guards depend only
+	// on the priced count, which equals the job count here), so the list
+	// is exact.
+	type job struct {
+		pat int
+		trs []*trace
+	}
 	res := &Result{ExactWorst: make([]int64, n), Witness: make([]Witness, n)}
 	for i := range res.ExactWorst {
 		res.ExactWorst[i] = -1
 	}
-	paths := map[string]bool{}
-	priced := 0
+	total := saturatingMul(combos, int64(b.InitStates))
+	// The list never outgrows the state space or the MaxStates cap.
+	jobs := make([]job, 0, max(0, min(total, int64(b.MaxStates))))
+	var traceErr error
 	var sawSteps, sawDecisions bool
 	idxs := make([]int64, n)
-	for pat := 0; pat < b.InitStates && priced < b.MaxStates; pat++ {
-		for combo := int64(0); combo < combos && priced < b.MaxStates; combo++ {
+scan:
+	for pat := 0; pat < b.InitStates && len(jobs) < b.MaxStates; pat++ {
+		for combo := int64(0); combo < combos && len(jobs) < b.MaxStates; combo++ {
 			decompose(combo, counts, idxs)
-			assigns := make([][]RegValue, n)
 			trs := make([]*trace, n)
 			ok := true
 			for c := 0; c < n; c++ {
-				assigns[c] = assignFor(perCore[c], idxs[c])
 				tr, err := getTrace(c, idxs[c])
 				if err != nil {
-					return nil, err
+					// Enumeration stops here, but every state already on
+					// the list precedes it: price them first, so a
+					// simulation failure among them takes precedence.
+					traceErr = err
+					break scan
 				}
 				trs[c] = tr
 				if tr.truncated {
@@ -222,40 +257,80 @@ func Explore(sys sim.System, inputs []Input, b Budget) (*Result, error) {
 				res.Truncated = true
 				continue
 			}
-			run := sys
-			run.Cores = make([]sim.CoreConfig, n)
-			copy(run.Cores, sys.Cores)
-			for c := range run.Cores {
-				run.Cores[c].InitRegs = initRegs(assigns[c])
-				run.Cores[c].WarmI, run.Cores[c].WarmD = warmAddrs(run.Cores[c], pat)
+			jobs = append(jobs, job{pat: pat, trs: trs})
+		}
+	}
+
+	// Phase 2: price every state on the worker pool. Each job builds its
+	// own core slice; everything else a sim.Run reads through the System
+	// copy (programs, cache geometries, the arbiter policy) is immutable,
+	// and the arbiter's grant state is created inside each run. Every
+	// job before a failing one succeeded, so the failing job's index is
+	// the number of states priced before it.
+	// cycles[k*n+c] is core c's completion time in job k.
+	cycles := make([]int64, len(jobs)*n)
+	err = parallel.ForEach(context.Background(), workers, len(jobs), func(k int) error {
+		j := &jobs[k]
+		run := sys
+		run.Cores = make([]sim.CoreConfig, n)
+		copy(run.Cores, sys.Cores)
+		for c := range run.Cores {
+			run.Cores[c].InitRegs = j.trs[c].regs
+			run.Cores[c].WarmI, run.Cores[c].WarmD = warmAddrs(run.Cores[c], j.pat)
+		}
+		simRes, err := sim.Run(run, b.MaxCycles)
+		if err != nil {
+			return fmt.Errorf("explore: state %d (pattern %d): %w", k, j.pat, err)
+		}
+		for c := 0; c < n; c++ {
+			cycles[k*n+c] = simRes.Cycles(c)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Phase 3: sequential reduce in enumeration order. paths collects the
+	// distinct (core, decision-sequence) pairs.
+	type corePath struct {
+		core int
+		path string
+	}
+	paths := map[corePath]bool{}
+	for k, j := range jobs {
+		var assigns [][]RegValue // the job's witness start state, built on first use
+		for c := 0; c < n; c++ {
+			paths[corePath{c, j.trs[c].path}] = true
+			if j.trs[c].decisions > res.MaxDecisions {
+				res.MaxDecisions = j.trs[c].decisions
 			}
-			simRes, err := sim.Run(run, b.MaxCycles)
-			if err != nil {
-				return nil, fmt.Errorf("explore: state %d (pattern %d): %w", priced, pat, err)
-			}
-			priced++
-			for c := 0; c < n; c++ {
-				paths[fmt.Sprintf("%d|%s", c, trs[c].path)] = true
-				if trs[c].decisions > res.MaxDecisions {
-					res.MaxDecisions = trs[c].decisions
-				}
-				if cyc := simRes.Cycles(c); cyc > res.ExactWorst[c] {
-					res.ExactWorst[c] = cyc
-					res.Witness[c] = Witness{
-						Init:   InitState{Regs: assigns, Pattern: pat},
-						Path:   trs[c].path,
-						Cycles: cyc,
+			if cyc := cycles[k*n+c]; cyc > res.ExactWorst[c] {
+				if assigns == nil {
+					assigns = make([][]RegValue, n)
+					for i, tr := range j.trs {
+						assigns[i] = tr.assign
 					}
+				}
+				res.ExactWorst[c] = cyc
+				res.Witness[c] = Witness{
+					Init:   InitState{Regs: assigns, Pattern: j.pat},
+					Path:   j.trs[c].path,
+					Cycles: cyc,
 				}
 			}
 		}
 	}
+	if traceErr != nil {
+		return nil, traceErr
+	}
+	priced := len(jobs)
 	if priced == 0 {
 		return nil, truncatedBudgetErr(sawSteps, sawDecisions)
 	}
 	res.States = priced
 	res.Paths = len(paths)
-	if total := saturatingMul(combos, int64(b.InitStates)); int64(priced) < total {
+	if int64(priced) < total {
 		res.Truncated = true
 	}
 	return res, nil

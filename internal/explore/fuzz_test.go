@@ -43,18 +43,18 @@ join:   ld   r5, 0(r6)
 			InitStates:         1 + int(patB%4),
 			MaxBranchDecisions: 1 + int(decB%24),
 		}
-		res, err := Explore(sys, inputs, b)
+		res, err := ExplorePar(sys, inputs, b, 1)
 		if err != nil {
 			// Budgets can legitimately exclude every trace; that must be
 			// an explicit error, never a silent empty result.
 			return
 		}
-		again, err := Explore(sys, inputs, b)
+		again, err := ExplorePar(sys, inputs, b, 2)
 		if err != nil {
-			t.Fatalf("second run failed where first succeeded: %v", err)
+			t.Fatalf("two-worker run failed where the inline run succeeded: %v", err)
 		}
 		if !reflect.DeepEqual(res, again) {
-			t.Fatalf("enumeration not deterministic:\n%+v\n%+v", res, again)
+			t.Fatalf("inline and two-worker runs differ:\n%+v\n%+v", res, again)
 		}
 		rep, err := Replay(sys, res.Witness[0].Init, 0)
 		if err != nil {

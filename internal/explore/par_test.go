@@ -16,30 +16,30 @@ import (
 )
 
 // requireSameExplore compares full exploration outcomes, including the
-// error channel: parallel pricing must reproduce witnesses, counters,
-// truncation flags and error text exactly.
+// error channel: ExplorePar must reproduce the sequential oracle's
+// witnesses, counters, truncation flags and error text exactly.
 func requireSameExplore(t *testing.T, label string, want *Result, wantErr error, got *Result, gotErr error) {
 	t.Helper()
 	if (wantErr == nil) != (gotErr == nil) {
-		t.Fatalf("%s: error mismatch: sequential %v, parallel %v", label, wantErr, gotErr)
+		t.Fatalf("%s: error mismatch: oracle %v, ExplorePar %v", label, wantErr, gotErr)
 	}
 	if wantErr != nil {
 		if wantErr.Error() != gotErr.Error() {
-			t.Fatalf("%s: error text:\nseq %q\npar %q", label, wantErr, gotErr)
+			t.Fatalf("%s: error text:\noracle %q\npar    %q", label, wantErr, gotErr)
 		}
 		return
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("%s: results differ:\nseq %+v\npar %+v", label, want, got)
+		t.Fatalf("%s: results differ:\noracle %+v\npar    %+v", label, want, got)
 	}
 }
 
 // TestExploreParMatchesSequential: ExplorePar must be bit-identical to
-// Explore — same ExactWorst, witnesses, state/path counters, truncation
-// — for random input-dependent programs on private cores and on every
-// co-run regime (shared-L2 joint, partitioned L2, and a bus under
-// round-robin, TDMA and MBBA arbitration), at several worker counts
-// under GOMAXPROCS 1 and 8. Concurrent pricings of one System share its
+// the sequential oracle — same ExactWorst, witnesses, state/path
+// counters, truncation — for random input-dependent programs on private
+// cores and on every co-run regime (shared-L2 joint, partitioned L2,
+// and a bus under round-robin, TDMA and MBBA arbitration), inline and
+// at several worker counts under GOMAXPROCS 1 and 8. Concurrent pricings of one System share its
 // arbiter policy, so under -race the bus regimes also prove that no
 // grant state leaks between them.
 func TestExploreParMatchesSequential(t *testing.T) {
@@ -68,8 +68,8 @@ func TestExploreParMatchesSequential(t *testing.T) {
 					}
 					sys := topologies[name].build(progs)
 					b := Budget{InitStates: 2}
-					want, wantErr := Explore(sys, inputs, b)
-					for _, workers := range []int{2, 4} {
+					want, wantErr := oracleExplore(sys, inputs, b)
+					for _, workers := range []int{1, 2, 4} {
 						label := fmt.Sprintf("procs %d %s trial %d cores %d workers %d", procs, name, trial, nCores, workers)
 						got, gotErr := ExplorePar(sys, inputs, b, workers)
 						requireSameExplore(t, label, want, wantErr, got, gotErr)
@@ -84,18 +84,18 @@ func TestExploreParMatchesSequential(t *testing.T) {
 // TestExploreParTruncation: budget truncation semantics — the MaxStates
 // cut-off point, the Truncated flag, the all-truncated error naming the
 // limiting budget field, and the state number of a failing simulation —
-// must survive parallel pricing unchanged.
+// must match the sequential oracle inline and under parallel pricing.
 func TestExploreParTruncation(t *testing.T) {
 	p := isa.MustAssemble("diamond", diamond)
 	sys := sim.System{Cores: []sim.CoreConfig{simCore("d", p)}, Mem: memctrl.DefaultConfig()}
 	inputs := []Input{{Core: 0, Reg: isa.R1, Values: []int32{0, 1, 5}}}
-	full, err := Explore(sys, inputs, Budget{InitStates: 3})
+	full, err := oracleExplore(sys, inputs, Budget{InitStates: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	budgets := map[string]Budget{
 		// A cycle limit just below the exact worst fails state 1 and
-		// later states: the error must name the lowest, like Explore.
+		// later states: the error must name the lowest, like the oracle.
 		"sim-failure": {InitStates: 3, MaxCycles: full.ExactWorst[0] - 3},
 		// 3 assignments x 3 patterns = 9 states; cap mid-enumeration.
 		"max-states": {InitStates: 3, MaxStates: 4},
@@ -104,9 +104,11 @@ func TestExploreParTruncation(t *testing.T) {
 		"all-truncated": {InitStates: 2, MaxBranchDecisions: 1},
 		// Divergence guard trips first: the error names MaxSteps.
 		"all-truncated-steps": {InitStates: 2, MaxSteps: 3},
+		// A negative cap prices nothing: an error, never a panic.
+		"negative-max-states": {InitStates: 2, MaxStates: -1},
 	}
 	for name, b := range budgets {
-		want, wantErr := Explore(sys, inputs, b)
+		want, wantErr := oracleExplore(sys, inputs, b)
 		if name == "max-states" {
 			if wantErr != nil {
 				t.Fatalf("%s: %v", name, wantErr)
@@ -116,7 +118,7 @@ func TestExploreParTruncation(t *testing.T) {
 			}
 		} else {
 			if wantErr == nil {
-				t.Fatalf("%s: sequential exploration unexpectedly succeeded", name)
+				t.Fatalf("%s: oracle exploration unexpectedly succeeded", name)
 			}
 			field := map[string]string{
 				"all-truncated":       "MaxBranchDecisions",
@@ -127,7 +129,7 @@ func TestExploreParTruncation(t *testing.T) {
 				t.Fatalf("%s: error %q does not name %s", name, wantErr, field)
 			}
 		}
-		for _, workers := range []int{2, 8} {
+		for _, workers := range []int{1, 2, 8} {
 			got, gotErr := ExplorePar(sys, inputs, b, workers)
 			requireSameExplore(t, fmt.Sprintf("%s workers %d", name, workers), want, wantErr, got, gotErr)
 		}

@@ -8,9 +8,12 @@
 // exhaustive exploration. Every unit runs the same single-threaded code
 // the sequential loop runs and shares nothing mutable with its
 // siblings; each index writes only its own slot of a result vector, and
-// callers reduce in index order after ForEach returns. Results are
-// therefore identical to the sequential loop at any worker count, which
-// the GOMAXPROCS and PARATIME_PARALLELISM determinism tests enforce.
+// callers reduce in index order — after ForEach returns, or, for a
+// streaming sweep, as each run of consecutive indices completes,
+// serialized by one mutex (ForEach dispatches indices in ascending
+// order). Results are therefore identical to the sequential loop at any
+// worker count, which the GOMAXPROCS and PARATIME_PARALLELISM
+// determinism tests enforce.
 package parallel
 
 import (
@@ -88,16 +91,27 @@ func ForEach(ctx context.Context, workers, n int, f func(i int) error) error {
 		}
 		return ctx.Err()
 	}
-	errs := make([]error, n)
+	// Only the lowest failing index is kept, so memory stays O(workers)
+	// however large n is.
+	var (
+		mu       sync.Mutex
+		firstIdx = n
+		firstErr error
+		failed   atomic.Bool
+		wg       sync.WaitGroup
+	)
 	idx := make(chan int)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				if errs[i] = f(i); errs[i] != nil {
+				if err := f(i); err != nil {
+					mu.Lock()
+					if i < firstIdx {
+						firstIdx, firstErr = i, err
+					}
+					mu.Unlock()
 					failed.Store(true)
 				}
 			}
@@ -108,10 +122,8 @@ func ForEach(ctx context.Context, workers, n int, f func(i int) error) error {
 	}
 	close(idx)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if firstErr != nil {
+		return firstErr
 	}
 	return ctx.Err()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -195,6 +196,22 @@ func TestForErrNoError(t *testing.T) {
 	}
 	if err := ForEach(context.Background(), 4, 0, func(i int) error { return errors.New("never") }); err != nil {
 		t.Fatalf("n=0 must not run f: %v", err)
+	}
+}
+
+// TestForEachMemoryIsPerWorker: ForEach's own footprint does not grow
+// with n. A per-index error slot would cost 16 B × 2^20 = 16 MiB here;
+// the lowest-failure record costs nothing per index.
+func TestForEachMemoryIsPerWorker(t *testing.T) {
+	const n = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := ForEach(context.Background(), 4, n, func(int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("ForEach over %d indices allocated %d bytes, want under 1 MiB", n, got)
 	}
 }
 

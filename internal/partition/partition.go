@@ -1,8 +1,10 @@
 // Package partition implements the statically-controlled storage-sharing
-// schemes of the survey's §4.2: shared-cache set partitioning (task-based
-// and core-based, after Suhendra & Mitra), way partitioning
-// ("columnization") and bank partitioning ("bankization") after Paolieri
-// et al., and static/dynamic cache locking with greedy profit selection.
+// schemes of the survey's §4.2: shared-cache set partitioning among n
+// owners (tasks or cores — the task-based and core-based schemes of
+// Suhendra & Mitra, which the Scenario API's partition mode selects), way
+// partitioning ("columnization") and bank partitioning ("bankization")
+// after Paolieri et al., and static/dynamic cache locking with greedy
+// profit selection.
 //
 // All schemes turn the shared L2 into per-task private resources, making
 // each task's WCET computable without knowledge of co-runner *content* —
@@ -20,26 +22,6 @@ import (
 	"paratime/internal/core"
 	"paratime/internal/ipet"
 )
-
-// Scheme selects who owns a partition.
-type Scheme uint8
-
-// Partitioning schemes.
-const (
-	// TaskBased gives every task its own slice of the shared cache.
-	TaskBased Scheme = iota
-	// CoreBased gives every core a slice shared by its (serialized)
-	// tasks; with more tasks than cores each task sees a bigger slice,
-	// which is why Suhendra & Mitra find it superior.
-	CoreBased
-)
-
-func (s Scheme) String() string {
-	if s == TaskBased {
-		return "task-based"
-	}
-	return "core-based"
-}
 
 // floorPow2 returns the largest power of two <= n (and >= 1).
 func floorPow2(n int) int {
@@ -92,36 +74,6 @@ func Bankize(l2 cache.Config, banks, totalBanks int) (cache.Config, error) {
 	out := l2
 	out.Sets = sets
 	out.Name = fmt.Sprintf("%s/bank%dof%d", l2.Name, banks, totalBanks)
-	return out, nil
-}
-
-// WCETs analyzes every task against its private partition view and
-// returns the per-task WCETs. assignCore maps task index to core
-// (CoreBased only).
-func WCETs(tasks []core.Task, sys core.SystemConfig, scheme Scheme, assignCore []int, nCores int) ([]int64, error) {
-	if sys.Mem.L2 == nil {
-		return nil, fmt.Errorf("partition: no shared L2 in system config")
-	}
-	owners := len(tasks)
-	if scheme == CoreBased {
-		owners = nCores
-	}
-	private, err := SetPartition(*sys.Mem.L2, owners)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(tasks))
-	for i, task := range tasks {
-		s := sys
-		p := private
-		s.Mem.L2 = &p
-		a, err := core.Analyze(task, s)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = a.WCET
-	}
-	_ = assignCore // the even split makes the core mapping immaterial here
 	return out, nil
 }
 

@@ -1,12 +1,17 @@
-package partition
+package partition_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"paratime/internal/cache"
 	"paratime/internal/core"
+	"paratime/internal/engine"
 	"paratime/internal/isa"
+	"paratime/internal/memctrl"
+	"paratime/internal/partition"
+	"paratime/internal/spec"
 )
 
 func l2cfg() cache.Config {
@@ -37,21 +42,21 @@ loop:   ld   r2, 0(r3)
 }
 
 func TestSetPartitionGeometry(t *testing.T) {
-	p, err := SetPartition(l2cfg(), 4)
+	p, err := partition.SetPartition(l2cfg(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Sets != 8 || p.Ways != 4 {
 		t.Errorf("partition = %d sets × %d ways, want 8×4", p.Sets, p.Ways)
 	}
-	if _, err := SetPartition(l2cfg(), 0); err == nil {
+	if _, err := partition.SetPartition(l2cfg(), 0); err == nil {
 		t.Error("0 owners accepted")
 	}
-	if _, err := SetPartition(l2cfg(), 64); err == nil {
+	if _, err := partition.SetPartition(l2cfg(), 64); err == nil {
 		t.Error("oversubscription accepted")
 	}
 	// Non-power-of-two owner counts floor to a power of two.
-	p3, err := SetPartition(l2cfg(), 3)
+	p3, err := partition.SetPartition(l2cfg(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,26 +66,52 @@ func TestSetPartitionGeometry(t *testing.T) {
 }
 
 func TestColumnizeBankize(t *testing.T) {
-	col, err := Columnize(l2cfg(), 2)
+	col, err := partition.Columnize(l2cfg(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if col.Ways != 2 || col.Sets != 32 {
 		t.Errorf("columnize = %+v", col)
 	}
-	bank, err := Bankize(l2cfg(), 2, 4)
+	bank, err := partition.Bankize(l2cfg(), 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bank.Sets != 16 || bank.Ways != 4 {
 		t.Errorf("bankize = %+v", bank)
 	}
-	if _, err := Columnize(l2cfg(), 5); err == nil {
+	if _, err := partition.Columnize(l2cfg(), 5); err == nil {
 		t.Error("too many ways accepted")
 	}
-	if _, err := Bankize(l2cfg(), 5, 4); err == nil {
+	if _, err := partition.Bankize(l2cfg(), 5, 4); err == nil {
 		t.Error("too many banks accepted")
 	}
+}
+
+// partitionRun runs tasks as one partition-mode scenario through
+// spec.Run and returns the per-task WCETs.
+func partitionRun(t *testing.T, tasks []core.Task, part *spec.PartitionSpec) []int64 {
+	t.Helper()
+	ts, err := spec.TasksToSpec(tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &spec.Scenario{
+		Spec:   spec.Version,
+		Name:   "partition",
+		Tasks:  ts,
+		System: spec.SystemToSpec(sysWith(l2cfg()), memctrl.DefaultConfig()),
+		Mode:   spec.ModeSpec{Kind: spec.KindPartition, Partition: part},
+	}
+	rep, err := spec.Run(context.Background(), sc, engine.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]int64, len(rep.Tasks))
+	for i, tr := range rep.Tasks {
+		out[i] = tr.WCET
+	}
+	return out
 }
 
 func TestCoreBasedBeatsTaskBased(t *testing.T) {
@@ -92,15 +123,8 @@ func TestCoreBasedBeatsTaskBased(t *testing.T) {
 		loopTask("t2", 0x3000, 0xa000, 30),
 		loopTask("t3", 0x4000, 0xb000, 30),
 	}
-	sys := sysWith(l2cfg())
-	taskW, err := WCETs(tasks, sys, TaskBased, nil, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coreW, err := WCETs(tasks, sys, CoreBased, []int{0, 0, 1, 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	taskW := partitionRun(t, tasks, &spec.PartitionSpec{Scheme: spec.PartTask})
+	coreW := partitionRun(t, tasks, &spec.PartitionSpec{Scheme: spec.PartCore, Cores: 2, Assign: []int{0, 0, 1, 1}})
 	for i := range tasks {
 		if coreW[i] > taskW[i] {
 			t.Errorf("task %d: core-based %d worse than task-based %d", i, coreW[i], taskW[i])
@@ -111,20 +135,23 @@ func TestCoreBasedBeatsTaskBased(t *testing.T) {
 func TestPartitionIsolationFromCoRunners(t *testing.T) {
 	// A partitioned task's WCET must be identical no matter what the
 	// other partitions run: the computation takes no co-runner input.
+	// Both co-runner sets have three tasks, so the partition geometry is
+	// the same and only the co-runners' content differs.
 	task := loopTask("iso", 0x1000, 0x8000, 25)
-	sys := sysWith(l2cfg())
-	w1, err := WCETs([]core.Task{task}, sys, TaskBased, nil, 1)
-	if err != nil {
-		t.Fatal(err)
+	light := []core.Task{task,
+		loopTask("a", 0x2000, 0x9000, 2),
+		loopTask("b", 0x3000, 0xa000, 2),
+		loopTask("c", 0x4000, 0xb000, 2),
 	}
-	// "Different co-runners" = re-running with the same single task; the
-	// per-task partition geometry is what matters.
-	w2, err := WCETs([]core.Task{task}, sys, TaskBased, nil, 1)
-	if err != nil {
-		t.Fatal(err)
+	heavy := []core.Task{task,
+		loopTask("x", 0x2000, 0x8000, 90),
+		phasedTask("y", 0x3000),
+		loopTask("z", 0x4000, 0x8040, 60),
 	}
+	part := &spec.PartitionSpec{Scheme: spec.PartTask}
+	w1, w2 := partitionRun(t, light, part), partitionRun(t, heavy, part)
 	if w1[0] != w2[0] {
-		t.Errorf("partitioned WCET not reproducible: %d vs %d", w1[0], w2[0])
+		t.Errorf("partitioned WCET depends on co-runners: %d vs %d", w1[0], w2[0])
 	}
 }
 
@@ -163,11 +190,11 @@ func TestDynamicLockingBeatsStaticOnPhases(t *testing.T) {
 	// reload penalty but winning it back over the 256 accesses per phase.
 	task := phasedTask("phased", 0x1000)
 	sys := sysWith(l2cfg())
-	st, err := StaticLock(task, sys, 40)
+	st, err := partition.StaticLock(task, sys, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dy, err := DynamicLock(task, sys, 40)
+	dy, err := partition.DynamicLock(task, sys, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +211,7 @@ func TestLockingBudgetMonotonicity(t *testing.T) {
 	sys := sysWith(l2cfg())
 	prev := int64(1 << 62)
 	for _, budget := range []int{1, 2, 8} {
-		res, err := StaticLock(task, sys, budget)
+		res, err := partition.StaticLock(task, sys, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,11 +228,11 @@ func TestBankizationVsColumnization(t *testing.T) {
 	// halves the ways. For this working set bankization must be at least
 	// as tight (Paolieri et al.'s finding).
 	task := loopTask("pt", 0x1000, 0x8000, 30)
-	col, err := Columnize(l2cfg(), 2) // half the ways
+	col, err := partition.Columnize(l2cfg(), 2) // half the ways
 	if err != nil {
 		t.Fatal(err)
 	}
-	bank, err := Bankize(l2cfg(), 2, 4) // half the banks: same capacity fraction
+	bank, err := partition.Bankize(l2cfg(), 2, 4) // half the banks: same capacity fraction
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -231,12 +231,19 @@ func (c *Context) joinEdge(o *Context, ifFloor int) bool {
 }
 
 // AnalyzeCosts runs the context fixpoint with worst-case latencies and
-// prices each block under its worst context with base latencies, exactly
-// like the package-level AnalyzeCosts but over the compiled model: the
-// per-block contexts live in a dense slice indexed by block position and
-// blocks are revisited through a worklist in RPO priority order, so only
-// the successors of blocks whose out-context actually changed are
-// re-examined and steady-state iteration allocates nothing.
+// then prices each block under its worst context with base latencies.
+//
+// worst must upper-bound every latency the hardware can exhibit
+// (classification misses for PS/NC refs); base may assume hits for
+// PERSISTENT references whose misses are charged separately by IPET
+// miss-count variables. Passing the same function for both yields the
+// plain (non-PS-aware) model.
+//
+// The per-block contexts live in a dense slice indexed by block position
+// and blocks are revisited through a worklist in RPO priority order, so
+// only the successors of blocks whose out-context actually changed are
+// re-examined and steady-state iteration allocates nothing. Re-pricing
+// one graph under many latency assignments reuses the compiled model.
 func (c *Compiled) AnalyzeCosts(pc Config, worst, base TimingFn) (*CostResult, error) {
 	lt := pc.Latencies()
 	redirectPen := pc.BranchPenalty

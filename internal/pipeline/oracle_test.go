@@ -245,7 +245,7 @@ func TestAnalyzeCostsMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AnalyzeCosts(g, pc, worst, base)
+		got, err := Compile(g).AnalyzeCosts(pc, worst, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +371,7 @@ func FuzzExecBlockOracle(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AnalyzeCosts(g, pc, tim, tim)
+		got, err := Compile(g).AnalyzeCosts(pc, tim, tim)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -211,22 +211,6 @@ func (r *CostResult) In(id cfg.BlockID) (Context, bool) { return r.in[id], r.see
 // maxFixIter guards the context fixpoint (finite lattice; generous).
 const maxFixIter = 10_000
 
-// AnalyzeCosts runs the context fixpoint with worst-case latencies and
-// then prices each block under its worst context with base latencies.
-//
-// worst must upper-bound every latency the hardware can exhibit
-// (classification misses for PS/NC refs); base may assume hits for
-// PERSISTENT references whose misses are charged separately by IPET
-// miss-count variables. Passing the same function for both yields the
-// plain (non-PS-aware) model.
-//
-// AnalyzeCosts compiles the graph on the fly; callers re-pricing one
-// graph under many latency assignments (scenario sweeps) should Compile
-// once and call Compiled.AnalyzeCosts to skip recompilation.
-func AnalyzeCosts(g *cfg.Graph, pc Config, worst, base TimingFn) (*CostResult, error) {
-	return Compile(g).AnalyzeCosts(pc, worst, base)
-}
-
 // SrcRegs returns the registers an instruction reads.
 func SrcRegs(in isa.Inst) []isa.Reg {
 	switch in.Op {
@@ -261,8 +245,3 @@ func DstReg(in isa.Inst) (isa.Reg, bool) {
 		return in.Rd, true
 	}
 }
-
-// ExLatOf exposes the per-instruction EX latency (the value a LatTable
-// holds for the instruction's class); the simulator and the static
-// model both read their latencies through Config.Latencies.
-func ExLatOf(c Config, in isa.Inst) int { return c.exLat(in) }

@@ -167,7 +167,7 @@ loop:   addi r1, r1, -1
         bne  r1, r0, loop
         halt`)
 	pc := DefaultConfig()
-	res, err := AnalyzeCosts(g, pc, flatTiming(1, 1), flatTiming(1, 1))
+	res, err := Compile(g).AnalyzeCosts(pc, flatTiming(1, 1), flatTiming(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +211,11 @@ loop:   addi r1, r1, -1
 	pc := DefaultConfig()
 	worst := flatTiming(10, 10)
 	base := flatTiming(1, 1)
-	resW, err := AnalyzeCosts(g, pc, worst, worst)
+	resW, err := Compile(g).AnalyzeCosts(pc, worst, worst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := AnalyzeCosts(g, pc, worst, base)
+	resB, err := Compile(g).AnalyzeCosts(pc, worst, base)
 	if err != nil {
 		t.Fatal(err)
 	}

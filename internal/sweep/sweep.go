@@ -1,10 +1,10 @@
 // Package sweep is the sharded streaming driver for scenario
 // product-spaces: it prices every point of a "sweep":1 document
-// (spec.SweepDoc) across a bounded worker pool and hands each result to
-// an emit callback as one line, without ever materializing the whole
-// sweep in memory — points are generated lazily, results stream out as
-// they complete, and a token window bounds how far computation may run
-// ahead of emission.
+// (spec.SweepDoc) through parallel.ForEach and hands each result to an
+// emit callback as one line, in point order, without ever materializing
+// the whole sweep in memory — points are generated lazily, results
+// stream out as soon as every earlier point has, and a slot ring bounds
+// how far pricing may run ahead of emission.
 //
 // Two properties make sweeps cheap at production scale:
 //
@@ -23,9 +23,8 @@
 //     and recomputes only the dirty subset. Analysis is deterministic,
 //     so a manifest hit is byte-identical to recomputation.
 //
-// Ordered mode emits lines in point order, making the output stream a
-// pure function of the document (byte-identical at any worker count);
-// throughput mode emits lines as they complete.
+// Lines are emitted in point order, so the output stream is a pure
+// function of the document: byte-identical at any worker count.
 package sweep
 
 import (
@@ -65,11 +64,6 @@ type Options struct {
 	// process default (parallel.Default). Results are identical at any
 	// value.
 	Parallelism int
-	// Unordered emits lines as points complete instead of in point
-	// order. Throughput mode: slow points no longer stall emission, at
-	// the cost of output-order determinism (line contents are still
-	// deterministic).
-	Unordered bool
 	// Manifest persists each point's report under its scenario
 	// fingerprint for incremental re-runs; nil disables reuse.
 	Manifest cachestore.CacheBackend
@@ -130,12 +124,12 @@ func (s *Summary) String() string {
 }
 
 // Run prices every point of the sweep document, calling emit once per
-// point — in point order unless opt.Unordered — and returns the run
-// summary. A point that fails to materialize or analyze produces a line
-// with its error and the sweep continues; Run itself fails only on a
-// cancelled context, an emit error, or an invalid document. Memory is
-// O(parallelism): at most a small window of results is in flight or
-// buffered for reordering at any moment.
+// point in point order, and returns the run summary. A point that fails
+// to materialize or analyze produces a line with its error and the
+// sweep continues; Run itself fails only on a cancelled context, an
+// emit error, or an invalid document. Memory is O(parallelism): a point
+// is priced only once it is within 4×workers of the next line to emit,
+// and its line waits in a ring of that many slots until then.
 func Run(ctx context.Context, doc *spec.SweepDoc, opt Options, emit func(Line) error) (*Summary, error) {
 	// One enumerator serves the whole run, so each task set is built and
 	// encoded once however many points use it.
@@ -154,143 +148,103 @@ func Run(ctx context.Context, doc *spec.SweepDoc, opt Options, emit func(Line) e
 	}
 	hits0, misses0 := eng.Stats()
 	start := time.Now()
-
 	sum := &Summary{Points: n}
-	account := func(l Line) {
-		if l.Error != "" {
-			sum.Errors++
-		} else if opt.Manifest != nil {
-			if l.fromManifest {
-				sum.ManifestHits++
-			} else {
-				sum.ManifestMisses++
-			}
-		}
-	}
-	finish := func() {
-		hits1, misses1 := eng.Stats()
-		sum.PrepareHits = hits1 - hits0
-		sum.PrepareMisses = misses1 - misses0
-		if total := sum.PrepareHits + sum.PrepareMisses; total > 0 {
-			sum.PrepareReuse = float64(sum.PrepareHits) / float64(total)
-		}
-		sum.Elapsed = time.Since(start)
-		if secs := sum.Elapsed.Seconds(); secs > 0 {
-			sum.PointsPerSec = float64(n) / secs
-		}
-	}
 
-	if workers <= 1 {
-		// Inline fast path: price and emit in one loop.
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			l := price(ctx, points, i, eng, opt.Manifest)
-			account(l)
-			if err := emit(l); err != nil {
-				return nil, err
-			}
-		}
-		finish()
-		return sum, nil
-	}
-
-	// Pipelined path: a dispatcher feeds point indices in order, workers
-	// price them, and this goroutine collects and emits. The token
-	// window keeps computation from running more than O(workers) points
-	// ahead of emission, which is what bounds the reorder buffer (and
-	// with it, sweep memory) regardless of sweep size.
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// ForEach dispatches indices in ascending order, so the point at
+	// head.next is always in flight or done. Whichever callback completes
+	// it takes the emitter role and emits the run of consecutive ready
+	// lines; a callback further than the window ahead waits for emission
+	// to catch up before pricing. The emitter releases mu around each
+	// emit call, so a slow sink does not stall pricing. At one worker
+	// this is the plain price-then-emit loop.
 	window := 4 * workers
-	tokens := make(chan struct{}, window)
-	jobs := make(chan int)
-	results := make(chan Line, workers)
-
-	go func() {
-		defer close(jobs)
-		for i := 0; i < n; i++ {
-			select {
-			case tokens <- struct{}{}:
-			case <-runCtx.Done():
-				return
-			}
-			select {
-			case jobs <- i:
-			case <-runCtx.Done():
-				return
-			}
+	ring := make([]slot, window)
+	var (
+		mu     sync.Mutex
+		caught = sync.NewCond(&mu)
+		// head holds the next point to emit, whether a callback is
+		// emitting, and the emit error, if any, that ended the run; all
+		// change only under mu.
+		head struct {
+			next     int
+			emitting bool
+			err      error
 		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results <- price(runCtx, points, i, eng, opt.Manifest)
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			cancel() // stop dispatch; workers drain, results closes
+	)
+	err := parallel.ForEach(ctx, workers, n, func(i int) error {
+		mu.Lock()
+		defer mu.Unlock()
+		for i >= head.next+window && head.err == nil {
+			caught.Wait()
 		}
-	}
-	handle := func(l Line) {
-		if firstErr != nil {
-			<-tokens
-			return
+		if head.err != nil {
+			return head.err
 		}
-		account(l)
-		if err := emit(l); err != nil {
-			fail(err)
+		mu.Unlock()
+		l := price(ctx, points, i, eng, opt.Manifest)
+		mu.Lock()
+		if head.err != nil {
+			return head.err
 		}
-		<-tokens
-	}
-	if opt.Unordered {
-		for l := range results {
-			handle(l)
+		ring[i%window] = slot{line: l, ready: true}
+		if head.emitting || i != head.next {
+			return nil
 		}
-	} else {
-		pending := make(map[int]Line, window)
-		next := 0
-		for l := range results {
-			pending[l.Index] = l
-			for {
-				buf, ok := pending[next]
-				if !ok {
-					break
+		head.emitting = true
+		for ring[head.next%window].ready && head.err == nil {
+			s := &ring[head.next%window]
+			l := s.line
+			*s = slot{}
+			head.next++
+			if l.Error != "" {
+				sum.Errors++
+			} else if opt.Manifest != nil {
+				if l.fromManifest {
+					sum.ManifestHits++
+				} else {
+					sum.ManifestMisses++
 				}
-				delete(pending, next)
-				next++
-				handle(buf)
 			}
+			mu.Unlock()
+			err := emit(l)
+			mu.Lock()
+			if err != nil {
+				head.err = err
+			}
+			caught.Broadcast()
 		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+		head.emitting = false
+		return head.err
+	})
+	if err != nil {
 		return nil, err
 	}
-	finish()
+
+	hits1, misses1 := eng.Stats()
+	sum.PrepareHits = hits1 - hits0
+	sum.PrepareMisses = misses1 - misses0
+	if total := sum.PrepareHits + sum.PrepareMisses; total > 0 {
+		sum.PrepareReuse = float64(sum.PrepareHits) / float64(total)
+	}
+	sum.Elapsed = time.Since(start)
+	if secs := sum.Elapsed.Seconds(); secs > 0 {
+		sum.PointsPerSec = float64(n) / secs
+	}
 	return sum, nil
+}
+
+// slot is one entry of Run's ring: a priced line waiting for every
+// earlier line to be emitted.
+type slot struct {
+	line  Line
+	ready bool
 }
 
 // price materializes and analyzes one point: manifest lookup by
 // scenario fingerprint first, full analysis through the shared engine
 // on a miss, manifest fill afterwards. All failure modes land in the
-// line's Error field; a cancelled context yields a line too (the
-// collector discards everything once the run is failing).
+// line's Error field; a cancelled context yields a line too (Run
+// then returns the context's error).
 //
 //paralint:canonical manifest payloads are canonical Report encodings keyed by scenario fingerprint; byte-compared on reuse
 func price(ctx context.Context, points *spec.SweepEnum, idx int, eng *engine.Engine, manifest cachestore.CacheBackend) Line {

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"paratime/internal/cachestore"
 	"paratime/internal/engine"
@@ -55,8 +57,8 @@ func ndjson(t *testing.T, doc *spec.SweepDoc, opt Options) ([]byte, *Summary) {
 	return buf.Bytes(), sum
 }
 
-// TestOrderedByteIdentical: the ordered stream is a pure function of the
-// document — byte-identical at any parallelism, inline or pipelined.
+// TestOrderedByteIdentical: the stream is a pure function of the
+// document — byte-identical at any parallelism, inline or fanned out.
 func TestOrderedByteIdentical(t *testing.T) {
 	ref, refSum := ndjson(t, testSweep(), Options{Parallelism: 1})
 	if refSum.Points != 4 || refSum.Errors != 0 {
@@ -86,26 +88,6 @@ func TestOrderedAcrossGOMAXPROCS(t *testing.T) {
 	s1, s8 := stream(1), stream(8)
 	if !bytes.Equal(s1, s8) {
 		t.Errorf("stream differs across GOMAXPROCS:\n%s\nvs\n%s", s1, s8)
-	}
-}
-
-// TestUnorderedSameLines: throughput mode emits the same line set, just
-// possibly reordered.
-func TestUnorderedSameLines(t *testing.T) {
-	ref, _ := ndjson(t, testSweep(), Options{Parallelism: 1})
-	got, sum := ndjson(t, testSweep(), Options{Parallelism: 8, Unordered: true})
-	want := map[string]bool{}
-	for _, l := range strings.Split(strings.TrimSpace(string(ref)), "\n") {
-		want[l] = true
-	}
-	lines := strings.Split(strings.TrimSpace(string(got)), "\n")
-	if len(lines) != len(want) || sum.Points != len(want) {
-		t.Fatalf("unordered emitted %d lines, want %d", len(lines), len(want))
-	}
-	for _, l := range lines {
-		if !want[l] {
-			t.Errorf("unordered line not in sequential set: %s", l)
-		}
 	}
 }
 
@@ -216,30 +198,153 @@ func TestPointErrorsAreLines(t *testing.T) {
 	}
 }
 
-// TestEmitErrorAborts: an emit failure stops the run promptly and is the
-// returned error.
-func TestEmitErrorAborts(t *testing.T) {
-	boom := errors.New("sink full")
-	n := 0
-	_, err := Run(context.Background(), testSweep(), Options{Parallelism: 4}, func(Line) error {
-		n++
-		if n == 2 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want emit error", err)
+// within fails the test if run does not return before a deadline: a
+// callback left waiting for emission to catch up (a missed broadcast)
+// shows up as a hang rather than a test-binary timeout.
+func within(t *testing.T, run func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		run()
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("sweep did not return: a callback is still waiting")
 	}
 }
 
-// TestCancelledContext: cancellation surfaces as the run error.
+// gatedManifest is a manifest wrapper that counts started points (price
+// consults the manifest first, once per point) and holds point 0 until
+// hold points have started. Emission waits for point 0, so holding it
+// parks later callbacks at the window edge and an abort has waiters to
+// wake.
+type gatedManifest struct {
+	cachestore.CacheBackend
+	started atomic.Int64
+	first   string // point 0's manifest key
+	hold    int64
+}
+
+func (m *gatedManifest) Get(key string) (any, bool) {
+	m.started.Add(1)
+	if key == m.first {
+		for deadline := time.Now().Add(5 * time.Second); m.started.Load() < m.hold && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		// Let the callbacks beyond the window reach their wait.
+		time.Sleep(20 * time.Millisecond)
+	}
+	return m.CacheBackend.Get(key)
+}
+
+// gatedSweep is the 64-point sweep the gated tests price.
+func gatedSweep() *spec.SweepDoc { return largeSweep(64) }
+
+// newGate builds the gatedManifest for one worker count: point 0 is
+// held until a full window of 4×workers points has started.
+func newGate(t *testing.T, workers int) *gatedManifest {
+	t.Helper()
+	pt, err := gatedSweep().Enumerate().Point(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold := int64(4 * workers)
+	if workers == 1 {
+		hold = 1 // inline: nothing else can start while a point prices
+	}
+	return &gatedManifest{CacheBackend: cachestore.NewMemory(0), first: manifestKey(pt.Fingerprint), hold: hold}
+}
+
+// gatedRun prices the gated sweep at the given worker count through m.
+func gatedRun(ctx context.Context, m *gatedManifest, workers int, emit func(Line) error) error {
+	_, err := Run(ctx, gatedSweep(), Options{Parallelism: workers, Manifest: m}, emit)
+	return err
+}
+
+// TestWindowBoundsLookahead: pricing never runs more than 4×workers
+// points ahead of emission, which is what keeps sweep memory O(workers).
+func TestWindowBoundsLookahead(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprint("workers=", workers), func(t *testing.T) {
+			m := newGate(t, workers)
+			within(t, func() {
+				next := 0
+				err := gatedRun(context.Background(), m, workers, func(l Line) error {
+					if l.Index != next {
+						return fmt.Errorf("line %d out of order (want %d)", l.Index, next)
+					}
+					next++
+					if ahead := m.started.Load() - int64(next); ahead > int64(4*workers) {
+						return fmt.Errorf("after line %d: %d points started beyond the emitted ones, window is %d", l.Index, ahead, 4*workers)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Error(err)
+				}
+				if next != 64 || m.started.Load() != 64 {
+					t.Errorf("emitted %d, started %d, want 64 each", next, m.started.Load())
+				}
+			})
+		})
+	}
+}
+
+// TestEmitErrorAborts: an emit failure stops the run promptly and is the
+// returned error, also for callbacks waiting at the window edge — on the
+// first line, before emission has ever woken them, and on a later one.
+func TestEmitErrorAborts(t *testing.T) {
+	boom := errors.New("sink full")
+	for _, workers := range []int{1, 2, 8} {
+		for _, failAt := range []int{1, 2} {
+			t.Run(fmt.Sprintf("workers=%d/line=%d", workers, failAt), func(t *testing.T) {
+				m := newGate(t, workers)
+				within(t, func() {
+					n := 0
+					err := gatedRun(context.Background(), m, workers, func(Line) error {
+						n++
+						if n == failAt {
+							return boom
+						}
+						return nil
+					})
+					if !errors.Is(err, boom) {
+						t.Errorf("err = %v, want emit error", err)
+					}
+					if n != failAt {
+						t.Errorf("emit called %d times, want %d (none after the failure)", n, failAt)
+					}
+				})
+			})
+		}
+	}
+}
+
+// TestCancelledContext: cancellation, before the run or while callbacks
+// wait at the window edge, surfaces as the run error.
 func TestCancelledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := Run(ctx, testSweep(), Options{Parallelism: 2}, func(Line) error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprint("workers=", workers), func(t *testing.T) {
+			m := newGate(t, workers)
+			within(t, func() {
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				called := false
+				_, err := Run(ctx, testSweep(), Options{Parallelism: workers}, func(Line) error { called = true; return nil })
+				if !errors.Is(err, context.Canceled) || called {
+					t.Errorf("cancelled before start: err = %v, emitted %v; want context.Canceled, nothing", err, called)
+				}
+
+				ctx, cancel = context.WithCancel(context.Background())
+				defer cancel()
+				err = gatedRun(ctx, m, workers, func(Line) error { cancel(); return nil })
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("cancelled mid-run: err = %v, want context.Canceled", err)
+				}
+			})
+		})
 	}
 }
 
@@ -283,19 +388,25 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
-// TestLargeSweepBoundedPending exercises the pipelined path with a
-// sweep much larger than the token window and verifies ordered output
-// (a reordering bug shows as an index gap).
-func TestLargeSweepBoundedPending(t *testing.T) {
+// largeSweep is a points-point sweep, far larger than the window at
+// small worker counts.
+func largeSweep(points int) *spec.SweepDoc {
 	doc := testSweep()
-	delays := make([]int, 32)
+	delays := make([]int, points)
 	for i := range delays {
 		delays[i] = i
 	}
 	doc.Axes.BusDelay = delays
 	doc.Axes.MemLatency = []int{50}
+	return doc
+}
+
+// TestLargeSweepBoundedPending exercises a sweep much larger than the
+// window and verifies ordered output (a reordering bug shows as an
+// index gap).
+func TestLargeSweepBoundedPending(t *testing.T) {
 	next := 0
-	sum, err := Run(context.Background(), doc, Options{Parallelism: 8}, func(l Line) error {
+	sum, err := Run(context.Background(), largeSweep(32), Options{Parallelism: 8}, func(l Line) error {
 		if l.Index != next {
 			return fmt.Errorf("line %d out of order (want %d)", l.Index, next)
 		}
