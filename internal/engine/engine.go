@@ -32,7 +32,6 @@ import (
 
 	"paratime/internal/cachestore"
 	"paratime/internal/core"
-	"paratime/internal/interfere"
 	"paratime/internal/parallel"
 )
 
@@ -109,10 +108,6 @@ func (e *Engine) ReuseRatio() float64 {
 	}
 	return float64(hits) / float64(hits+misses)
 }
-
-// Memo returns the memo cache backend (for stats surfaces such as the
-// analysis service's /v1/stats).
-func (e *Engine) Memo() cachestore.CacheBackend { return e.memo }
 
 // Reset drops every memoized artefact (e.g. between unrelated sweeps, to
 // bound memory) on backends that support it; hit/miss counters are kept.
@@ -231,16 +226,4 @@ func Requests(tasks []core.Task, sys core.SystemConfig) []Request {
 		reqs[i] = Request{Task: t, Sys: sys}
 	}
 	return reqs
-}
-
-// AnalyzeJoint prepares every co-scheduled task through the engine's
-// pool and memo cache, then runs the shared-L2 joint analysis of §4.1 on
-// the prepared set. It replaces the sequential per-task Prepare loop of
-// the facade's AnalyzeJoint.
-func (e *Engine) AnalyzeJoint(ctx context.Context, tasks []core.Task, sys core.SystemConfig, model interfere.ConflictModel) (*interfere.JointResult, error) {
-	as, err := e.PrepareAll(ctx, Requests(tasks, sys))
-	if err != nil {
-		return nil, err
-	}
-	return interfere.AnalyzeJoint(as, model)
 }

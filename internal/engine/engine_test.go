@@ -163,12 +163,16 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestAnalyzeJointMatchesSequential: the engine's joint analysis equals
-// the sequential Prepare-loop version.
+// TestAnalyzeJointMatchesSequential: the joint analysis over the
+// engine's prepared prefixes equals the sequential Prepare-loop version.
 func TestAnalyzeJointMatchesSequential(t *testing.T) {
 	sys := testSys()
 	tasks := workload.Suite()[:3]
-	got, err := New(0).AnalyzeJoint(context.Background(), tasks, sys, interfere.AgeShift)
+	prepared, err := New(0).PrepareAll(context.Background(), Requests(tasks, sys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := interfere.AnalyzeJoint(prepared, interfere.AgeShift)
 	if err != nil {
 		t.Fatal(err)
 	}

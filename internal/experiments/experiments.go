@@ -53,11 +53,6 @@ var IDs = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9",
 // the facade and the Scenario decoder).
 func defaultSys() core.SystemConfig { return core.DefaultSystem() }
 
-// simFor abbreviates the shared sim constructor in experiment bodies.
-func simFor(sys core.SystemConfig, mem memctrl.Config, bus arbiter.Arbiter, shared bool, tasks ...core.Task) sim.System {
-	return sim.FromConfig(sys, mem, bus, shared, tasks...)
-}
-
 // Exp01SoloWCET (§2.1): the solo static analysis is safe and reasonably
 // tight on every benchmark: WCET >= simulated cycles, modest ratio.
 // Rebased onto the Scenario API: one declarative solo request with
@@ -139,7 +134,7 @@ func Exp02UnsafeSolo() (*Result, error) {
 	lat := small.HitLatency + mem.Bound()
 	t := report.New("E2: solo WCET vs observed cycles with co-runners (shared L2 + bus)",
 		"co-runners", "victim observed", "solo WCET", "observed/solo")
-	soloSim, err := sim.Run(simFor(sys, mem, nil, true, victim), 200_000_000)
+	soloSim, err := sim.Run(sim.FromConfig(sys, mem, nil, true, victim), 200_000_000)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +146,7 @@ func Exp02UnsafeSolo() (*Result, error) {
 			tasks = append(tasks, workload.LongThrasher(4096, 32, 200, workload.Slot(i+1)))
 		}
 		bus := arbiter.NewRoundRobin(n+1, lat)
-		res, err := sim.Run(simFor(sys, mem, bus, true, tasks...), 500_000_000)
+		res, err := sim.Run(sim.FromConfig(sys, mem, bus, true, tasks...), 500_000_000)
 		if err != nil {
 			return nil, err
 		}
@@ -186,7 +181,7 @@ func Exp03Measurement() (*Result, error) {
 	observedMax := int64(0)
 	for _, co := range benign {
 		bus := arbiter.NewRoundRobin(2, lat)
-		res, err := sim.Run(simFor(sys, mem, bus, true, victim, co), 500_000_000)
+		res, err := sim.Run(sim.FromConfig(sys, mem, bus, true, victim, co), 500_000_000)
 		if err != nil {
 			return nil, err
 		}
@@ -196,7 +191,7 @@ func Exp03Measurement() (*Result, error) {
 	}
 	// Deployment meets a thrasher.
 	bus := arbiter.NewRoundRobin(2, lat)
-	res, err := sim.Run(simFor(sys, mem, bus, true, victim,
+	res, err := sim.Run(sim.FromConfig(sys, mem, bus, true, victim,
 		workload.Thrasher(4096, 32, workload.Slot(1))), 500_000_000)
 	if err != nil {
 		return nil, err
@@ -567,7 +562,7 @@ func Exp14CarCore() (*Result, error) {
 	sys := defaultSys()
 	mem := memctrl.DefaultConfig()
 	victim := workload.CRC(12, workload.Slot(0))
-	solo, err := sim.Run(simFor(sys, mem, nil, false, victim), 200_000_000)
+	solo, err := sim.Run(sim.FromConfig(sys, mem, nil, false, victim), 200_000_000)
 	if err != nil {
 		return nil, err
 	}

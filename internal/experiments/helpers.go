@@ -15,9 +15,6 @@ import (
 	"paratime/internal/workload"
 )
 
-// progT abbreviates the program type in experiment bodies.
-type progT = isa.Program
-
 // eng is the package-shared batch engine: every experiment's analysis
 // fan-out goes through one pool and one memo cache, so experiments that
 // revisit a (task, cache-geometry) pair — e.g. the suite under the
@@ -47,11 +44,6 @@ func boolMetric(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-func withBus(sys core.SystemConfig, d int) core.SystemConfig {
-	sys.Mem.BusDelay = d
-	return sys
 }
 
 func mustAsm(name, src string) *isa.Program { return isa.MustAssemble(name, src) }

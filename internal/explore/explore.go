@@ -186,7 +186,7 @@ func ExplorePar(sys sim.System, inputs []Input, b Budget, workers int) (*Result,
 	if n == 0 {
 		return nil, fmt.Errorf("explore: no cores")
 	}
-	perCore, counts, combos, err := planInputs(n, inputs, b.MaxStates)
+	perCore, counts, combos, err := planInputs(n, inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -357,7 +357,7 @@ func Replay(sys sim.System, init InitState, maxCycles int64) (*sim.Result, error
 // planInputs validates and groups the declared inputs: per-core sorted
 // input lists, per-core assignment counts, and the (saturating) global
 // combination count.
-func planInputs(n int, inputs []Input, maxStates int) (perCore [][]Input, counts []int64, combos int64, err error) {
+func planInputs(n int, inputs []Input) (perCore [][]Input, counts []int64, combos int64, err error) {
 	perCore = make([][]Input, n)
 	seen := map[[2]int]bool{}
 	for _, in := range inputs {
@@ -387,7 +387,6 @@ func planInputs(n int, inputs []Input, maxStates int) (perCore [][]Input, counts
 		}
 		combos = saturatingMul(combos, counts[c])
 	}
-	_ = maxStates // the cap is enforced during enumeration
 	return perCore, counts, combos, nil
 }
 

@@ -24,7 +24,7 @@ func oracleExplore(sys sim.System, inputs []Input, b Budget) (*Result, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("explore: no cores")
 	}
-	perCore, counts, combos, err := planInputs(n, inputs, b.MaxStates)
+	perCore, counts, combos, err := planInputs(n, inputs)
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"paratime/internal/core"
 	"paratime/internal/engine"
 	"paratime/internal/explore"
+	"paratime/internal/flow"
 	"paratime/internal/interfere"
 	"paratime/internal/isa"
 	"paratime/internal/memctrl"
@@ -184,10 +185,11 @@ func orDash(s string) string {
 }
 
 // Run executes a validated scenario: it materializes tasks and system,
-// dispatches to the analysis machinery selected by the mode (through the
-// batch engine's worker pool and memo cache), optionally cross-checks
-// the bounds in simulation, and assembles a Report. A nil engine gets a
-// private one. Cancelling ctx makes Run return promptly with ctx.Err().
+// computes the bounds of the mode's sharing regime (through the batch
+// engine's worker pool and memo cache), optionally cross-checks them
+// in simulation and by exhaustive exploration of the mode's co-runs,
+// and assembles a Report. A nil engine gets a private one. Cancelling
+// ctx makes Run return promptly with ctx.Err().
 func Run(ctx context.Context, s *Scenario, eng *engine.Engine) (*Report, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -210,69 +212,112 @@ func Run(ctx context.Context, s *Scenario, eng *engine.Engine) (*Report, error) 
 	if err != nil {
 		return nil, err
 	}
-	mem := s.System.MemConfig()
 
 	rep := &Report{Spec: Version, Scenario: s.Name, Mode: s.Mode.Kind}
 	switch s.Mode.Kind {
-	case KindSolo:
-		err = runSolo(ctx, s, eng, tasks, sys, mem, rep)
+	case KindSolo, KindPartition, KindBus:
+		err = runPerTask(ctx, s, eng, tasks, sys, rep)
 	case KindJoint:
-		err = runJoint(ctx, s, eng, tasks, sys, mem, rep)
-	case KindPartition:
-		err = runPartition(ctx, s, eng, tasks, sys, mem, rep)
+		err = runJoint(ctx, s, eng, tasks, sys, rep)
 	case KindLock:
 		err = runLock(ctx, s, tasks, sys, rep)
-	case KindBus:
-		err = runBus(ctx, s, eng, tasks, sys, mem, rep)
-	case KindSMT:
-		err = runSMT(ctx, s, tasks, rep)
-	case KindPRET:
-		err = runPret(ctx, s, tasks, rep)
+	case KindSMT, KindPRET:
+		// The threaded core models validate on their own simulators.
+		err = runThreaded(ctx, s, tasks, rep)
 	default:
 		err = fmt.Errorf("spec: unknown mode kind %q", s.Mode.Kind)
 	}
 	if err != nil {
 		return nil, err
 	}
+	if (s.Sim == nil && s.Explore == nil) || s.Mode.Kind == KindSMT || s.Mode.Kind == KindPRET {
+		return rep, nil
+	}
+	systems, err := coRuns(s, tasks, sys, s.System.MemConfig())
+	if err != nil {
+		return nil, err
+	}
+	if s.Sim != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if err := runSim(ctx, s, eng.Workers(), systems, rep); err != nil {
+			return nil, err
+		}
+	}
 	if s.Explore != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := runExplore(s, tasks, sys, mem, rep); err != nil {
+		if err := runExplore(s, tasks, systems, rep); err != nil {
 			return nil, err
 		}
 	}
 	return rep, nil
 }
 
-// exploreSystem builds the co-run topology the explorer prices — the
-// same topology the sim block of the matching mode validates against.
-func exploreSystem(s *Scenario, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config) (sim.System, error) {
+// coRuns builds the simulated systems of a solo, joint, partition or
+// bus scenario in task order: one system per task in mode solo, one
+// co-run of every task otherwise. Core c of systems[k] runs task
+// Σ_{j<k} len(systems[j].Cores) + c. It is the one place the spec
+// runner builds a sim.System, so the sim block and the explore block
+// price the same machine.
+func coRuns(s *Scenario, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config) ([]sim.System, error) {
 	switch s.Mode.Kind {
+	case KindSolo:
+		out := make([]sim.System, len(tasks))
+		for i, t := range tasks {
+			out[i] = sim.FromConfig(sys, mem, nil, false, t)
+		}
+		return out, nil
 	case KindJoint:
-		return sim.FromConfig(sys, mem, nil, true, tasks...), nil
+		// A shared L2 over private, uncontended memory paths.
+		return []sim.System{sim.FromConfig(sys, mem, nil, true, tasks...)}, nil
 	case KindPartition:
+		// Every core is confined to a private view of its partition —
+		// the isolation the partitioned analysis assumes.
 		view, err := partitionView(s, sys, len(tasks))
 		if err != nil {
-			return sim.System{}, err
+			return nil, err
 		}
 		views := make([]*cache.Config, len(tasks))
 		for i := range views {
 			views[i] = &view
 		}
-		return sim.FromConfigPerCoreL2(sys, mem, nil, tasks, views), nil
+		return []sim.System{sim.FromConfigPerCoreL2(sys, mem, nil, tasks, views)}, nil
 	case KindBus:
-		return sim.FromConfig(sys, mem, buildArbiter(s), false, tasks...), nil
+		return []sim.System{sim.FromConfig(sys, mem, buildArbiter(s), false, tasks...)}, nil
 	default:
-		return sim.System{}, fmt.Errorf("spec: explore is not supported in mode %q", s.Mode.Kind)
+		return nil, fmt.Errorf("spec: mode %q has no simulated co-run", s.Mode.Kind)
 	}
 }
 
-// runExplore executes the scenario's explore block after the static
-// analysis filled rep.Tasks, attaching exact_worst, tightness and a
-// witness per task plus the exploration summary. Mode solo explores
-// each task alone; joint, partition and bus explore the full co-run.
-func runExplore(s *Scenario, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config, rep *Report) error {
+// runSim simulates every co-run and records one SimReport per task.
+func runSim(ctx context.Context, s *Scenario, workers int, systems []sim.System, rep *Report) error {
+	results := make([]*sim.Result, len(systems))
+	err := parallel.ForEach(ctx, workers, len(systems), func(k int) error {
+		res, err := sim.Run(systems[k], simLimit(s, defaultSimCycles))
+		results[k] = res
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	var cycles, busWaitMax []int64
+	for _, res := range results {
+		for _, st := range res.Stats {
+			cycles = append(cycles, st.Cycles)
+			busWaitMax = append(busWaitMax, st.BusWaitMax)
+		}
+	}
+	fillSim(rep, cycles, busWaitMax)
+	return nil
+}
+
+// runExplore executes the scenario's explore block on the co-runs after
+// the static analysis filled rep.Tasks, attaching exact_worst,
+// tightness and a witness per task plus the exploration summary.
+func runExplore(s *Scenario, tasks []core.Task, systems []sim.System, rep *Report) error {
 	e := s.Explore
 	b := explore.Budget{
 		MaxBranchDecisions: e.MaxBranchDecisions,
@@ -281,90 +326,49 @@ func runExplore(s *Scenario, tasks []core.Task, sys core.SystemConfig, mem memct
 		MaxSteps:           e.MaxSteps,
 		MaxCycles:          simLimit(s, defaultSimCycles),
 	}
-	taskIdx := map[string]int{}
-	for i, t := range tasks {
-		taskIdx[t.Name] = i
-	}
-	// inputsFor maps the declared inputs onto sim cores: core i runs
-	// task remap[i] (identity for co-runs, a single task for solo).
-	inputsFor := func(remap []int) ([]explore.Input, error) {
-		var out []explore.Input
+	agg := &ExploreReport{}
+	base := 0 // task run by core 0 of the current system
+	for _, simSys := range systems {
+		coreTasks := tasks[base : base+len(simSys.Cores)]
+		var ins []explore.Input
 		for _, in := range e.Inputs {
 			r, ok := RegByName(in.Reg)
 			if !ok {
-				return nil, fmt.Errorf("spec: explore input register %q", in.Reg)
+				return fmt.Errorf("spec: explore input register %q", in.Reg)
 			}
-			for c, ti := range remap {
-				if taskIdx[in.Task] == ti {
-					out = append(out, explore.Input{Core: c, Reg: r, Values: in.Values})
+			for c, t := range coreTasks {
+				if t.Name == in.Task {
+					ins = append(ins, explore.Input{Core: c, Reg: r, Values: in.Values})
 				}
 			}
 		}
-		return out, nil
-	}
-	// witnessReport renders a witness; core c of the explored system
-	// runs task remap[c].
-	witnessReport := func(w explore.Witness, remap []int) *WitnessReport {
-		wr := &WitnessReport{Pattern: w.Init.Pattern, Path: w.Path}
-		for c, assign := range w.Init.Regs {
-			for _, rv := range assign {
-				wr.Inputs = append(wr.Inputs,
-					fmt.Sprintf("%s.%s=%d", tasks[remap[c]].Name, rv.Reg, rv.Value))
-			}
-		}
-		return wr
-	}
-	record := func(i int, exact int64, w explore.Witness, remap []int) {
-		rep.Tasks[i].ExactWorst = exact
-		if rep.Tasks[i].WCET > 0 {
-			rep.Tasks[i].Tightness = float64(exact) / float64(rep.Tasks[i].WCET)
-		}
-		rep.Tasks[i].Witness = witnessReport(w, remap)
-	}
-
-	agg := &ExploreReport{}
-	if s.Mode.Kind == KindSolo {
-		for i := range tasks {
-			ins, err := inputsFor([]int{i})
-			if err != nil {
-				return err
-			}
-			res, err := explore.ExplorePar(sim.FromConfig(sys, mem, nil, false, tasks[i]), ins, b, parallel.Default())
-			if err != nil {
-				return fmt.Errorf("spec: explore task %q: %w", tasks[i].Name, err)
-			}
-			record(i, res.ExactWorst[0], res.Witness[0], []int{i})
-			agg.States += res.States
-			agg.Paths += res.Paths
-			if res.MaxDecisions > agg.MaxDecisions {
-				agg.MaxDecisions = res.MaxDecisions
-			}
-			agg.Truncated = agg.Truncated || res.Truncated
-		}
-	} else {
-		simSys, err := exploreSystem(s, tasks, sys, mem)
-		if err != nil {
-			return err
-		}
-		remap := make([]int, len(tasks))
-		for i := range remap {
-			remap[i] = i
-		}
-		ins, err := inputsFor(remap)
-		if err != nil {
-			return err
-		}
 		res, err := explore.ExplorePar(simSys, ins, b, parallel.Default())
 		if err != nil {
+			if s.Mode.Kind == KindSolo {
+				return fmt.Errorf("spec: explore task %q: %w", coreTasks[0].Name, err)
+			}
 			return fmt.Errorf("spec: explore: %w", err)
 		}
-		for i := range tasks {
-			record(i, res.ExactWorst[i], res.Witness[i], remap)
+		for c := range coreTasks {
+			tr := &rep.Tasks[base+c]
+			tr.ExactWorst = res.ExactWorst[c]
+			if tr.WCET > 0 {
+				tr.Tightness = float64(tr.ExactWorst) / float64(tr.WCET)
+			}
+			w := res.Witness[c]
+			tr.Witness = &WitnessReport{Pattern: w.Init.Pattern, Path: w.Path}
+			for cc, assign := range w.Init.Regs {
+				for _, rv := range assign {
+					tr.Witness.Inputs = append(tr.Witness.Inputs,
+						fmt.Sprintf("%s.%s=%d", coreTasks[cc].Name, rv.Reg, rv.Value))
+				}
+			}
 		}
-		agg.States = res.States
-		agg.Paths = res.Paths
-		agg.MaxDecisions = res.MaxDecisions
-		agg.Truncated = res.Truncated
+		agg.States += res.States
+		agg.Paths += res.Paths
+		agg.MaxDecisions = max(agg.MaxDecisions, res.MaxDecisions)
+		agg.Truncated = agg.Truncated || res.Truncated
+		base += len(simSys.Cores)
 	}
 	rep.Explore = agg
 	return nil
@@ -377,37 +381,50 @@ func simLimit(s *Scenario, fallback int64) int64 {
 	return fallback
 }
 
-func fillSim(rep *Report, tasks []core.Task, cycles func(i int) int64, waitMax func(i int) int64) {
-	for i, t := range tasks {
-		sr := SimReport{Name: t.Name, Cycles: cycles(i), Sound: rep.Tasks[i].WCET >= cycles(i)}
-		if waitMax != nil {
-			sr.BusWaitMax = waitMax(i)
+// fillSim records the simulated cycles (and, when non-nil, the longest
+// bus wait) of each task against its bound.
+func fillSim(rep *Report, cycles, busWaitMax []int64) {
+	for i, c := range cycles {
+		sr := SimReport{Name: rep.Tasks[i].Name, Cycles: c, Sound: rep.Tasks[i].WCET >= c}
+		if busWaitMax != nil {
+			sr.BusWaitMax = busWaitMax[i]
 		}
 		rep.Sim = append(rep.Sim, sr)
 	}
 }
 
-func runSolo(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config, rep *Report) error {
-	as, err := eng.AnalyzeAll(ctx, engine.Requests(tasks, sys))
+// runPerTask bounds every task on its own: solo on the system as given,
+// partition on the private L2 view of its partition, and bus with the
+// arbiter's worst-case delay for its core as the per-access BusDelay.
+func runPerTask(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, rep *Report) error {
+	reqs := engine.Requests(tasks, sys)
+	var arb arbiter.Arbiter
+	switch s.Mode.Kind {
+	case KindPartition:
+		view, err := partitionView(s, sys, len(tasks))
+		if err != nil {
+			return err
+		}
+		for i := range reqs {
+			reqs[i].Sys.Mem.L2 = &view
+		}
+	case KindBus:
+		arb = buildArbiter(s)
+		for i := range reqs {
+			reqs[i].Sys.Mem.BusDelay = arb.Bound(i)
+		}
+	}
+	as, err := eng.AnalyzeAll(ctx, reqs)
 	if err != nil {
 		return err
 	}
 	for i, a := range as {
-		rep.Tasks = append(rep.Tasks, TaskReport{Name: tasks[i].Name, WCET: a.WCET, Classes: a.ClassSummary()})
+		tr := TaskReport{Name: tasks[i].Name, WCET: a.WCET, Classes: a.ClassSummary()}
+		if arb != nil {
+			tr.BusBound = arb.Bound(i)
+		}
+		rep.Tasks = append(rep.Tasks, tr)
 	}
-	if s.Sim == nil {
-		return nil
-	}
-	sims := make([]*sim.Result, len(tasks))
-	err = parallel.ForEach(ctx, eng.Workers(), len(tasks), func(i int) error {
-		res, err := sim.Run(sim.FromConfig(sys, mem, nil, false, tasks[i]), simLimit(s, defaultSimCycles))
-		sims[i] = res
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	fillSim(rep, tasks, func(i int) int64 { return sims[i].Cycles(0) }, nil)
 	return nil
 }
 
@@ -418,7 +435,7 @@ func conflictModel(name string) interfere.ConflictModel {
 	return interfere.AgeShift
 }
 
-func runJoint(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config, rep *Report) error {
+func runJoint(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, rep *Report) error {
 	as, err := eng.PrepareAll(ctx, engine.Requests(tasks, sys))
 	if err != nil {
 		return err
@@ -468,17 +485,6 @@ func runJoint(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core
 			})
 		}
 	}
-	if s.Sim == nil {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	res, err := sim.Run(sim.FromConfig(sys, mem, nil, true, tasks...), simLimit(s, defaultSimCycles))
-	if err != nil {
-		return err
-	}
-	fillSim(rep, tasks, res.Cycles, nil)
 	return nil
 }
 
@@ -502,40 +508,6 @@ func partitionView(s *Scenario, sys core.SystemConfig, nTasks int) (cache.Config
 		return view, fmt.Errorf("spec: %w", err)
 	}
 	return view, nil
-}
-
-func runPartition(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config, rep *Report) error {
-	view, err := partitionView(s, sys, len(tasks))
-	if err != nil {
-		return err
-	}
-	sysP := sys
-	sysP.Mem.L2 = &view
-	as, err := eng.AnalyzeAll(ctx, engine.Requests(tasks, sysP))
-	if err != nil {
-		return err
-	}
-	for i, a := range as {
-		rep.Tasks = append(rep.Tasks, TaskReport{Name: tasks[i].Name, WCET: a.WCET, Classes: a.ClassSummary()})
-	}
-	if s.Sim == nil {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// Co-run every task with its core confined to a private view of its
-	// partition — the isolation the partitioned analysis assumes.
-	views := make([]*cache.Config, len(tasks))
-	for i := range views {
-		views[i] = &view
-	}
-	res, err := sim.Run(sim.FromConfigPerCoreL2(sys, mem, nil, tasks, views), simLimit(s, defaultSimCycles))
-	if err != nil {
-		return err
-	}
-	fillSim(rep, tasks, res.Cycles, nil)
-	return nil
 }
 
 func runLock(ctx context.Context, s *Scenario, tasks []core.Task, sys core.SystemConfig, rep *Report) error {
@@ -582,74 +554,32 @@ func buildArbiter(s *Scenario) arbiter.Arbiter {
 	}
 }
 
-func runBus(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config, rep *Report) error {
-	arb := buildArbiter(s)
-	reqs := make([]engine.Request, len(tasks))
-	for i, t := range tasks {
-		sysI := sys
-		sysI.Mem.BusDelay = arb.Bound(i)
-		reqs[i] = engine.Request{Task: t, Sys: sysI}
-	}
-	as, err := eng.AnalyzeAll(ctx, reqs)
-	if err != nil {
-		return err
-	}
-	for i, a := range as {
-		rep.Tasks = append(rep.Tasks, TaskReport{
-			Name: tasks[i].Name, WCET: a.WCET, BusBound: arb.Bound(i), Classes: a.ClassSummary(),
-		})
-	}
-	if s.Sim == nil {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	res, err := sim.Run(sim.FromConfig(sys, mem, arb, false, tasks...), simLimit(s, defaultSimCycles))
-	if err != nil {
-		return err
-	}
-	fillSim(rep, tasks, res.Cycles, func(i int) int64 { return res.Stats[i].BusWaitMax })
-	return nil
-}
-
-func runSMT(ctx context.Context, s *Scenario, tasks []core.Task, rep *Report) error {
-	cfg := smt.BarreConfig{Threads: s.Mode.SMT.Threads, FULatency: s.Mode.SMT.FULatency, MemLatency: s.Mode.SMT.MemLatency}
-	bounds := make([]int64, len(tasks))
-	err := parallel.ForEach(ctx, 0, len(tasks), func(i int) error {
-		b, err := cfg.AnalyzeWCET(tasks[i].Prog, tasks[i].Facts)
-		bounds[i] = b
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	for i, t := range tasks {
-		rep.Tasks = append(rep.Tasks, TaskReport{Name: t.Name, WCET: bounds[i]})
-	}
-	if s.Sim == nil {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	times, err := cfg.SimulateBarre(progsOf(tasks), uint64(simLimit(s, defaultSMTSteps)))
-	if err != nil {
-		return err
-	}
-	fillSim(rep, tasks, func(i int) int64 { return times[i] }, nil)
-	return nil
-}
-
-func runPret(ctx context.Context, s *Scenario, tasks []core.Task, rep *Report) error {
-	cfg := smt.PretConfig{Threads: s.Mode.PRET.Threads, WheelWindow: s.Mode.PRET.WheelWindow, MemLatency: s.Mode.PRET.MemLatency}
-	bounds := make([]int64, len(tasks))
-	err := parallel.ForEach(ctx, 0, len(tasks), func(i int) error {
-		b, err := cfg.AnalyzeWCET(tasks[i].Prog, tasks[i].Facts)
+// runThreaded bounds, and with a sim block simulates, the multithreaded
+// core models: mode smt on the Barre SMT core, mode pret on the PRET
+// thread-interleaved core. Task i runs as hardware thread i.
+func runThreaded(ctx context.Context, s *Scenario, tasks []core.Task, rep *Report) error {
+	var (
+		analyze  func(*isa.Program, *flow.Facts) (int64, error)
+		simulate func([]*isa.Program, uint64) ([]int64, error)
+		steps    int64
+		phase    int64
+	)
+	if m := s.Mode.SMT; s.Mode.Kind == KindSMT {
+		cfg := smt.BarreConfig{Threads: m.Threads, FULatency: m.FULatency, MemLatency: m.MemLatency}
+		analyze, simulate, steps = cfg.AnalyzeWCET, cfg.SimulateBarre, defaultSMTSteps
+	} else {
+		m := s.Mode.PRET
+		cfg := smt.PretConfig{Threads: m.Threads, WheelWindow: m.WheelWindow, MemLatency: m.MemLatency}
+		analyze, simulate, steps = cfg.AnalyzeWCET, cfg.SimulatePret, defaultPretSteps
 		// Thread i's first pipeline slot arrives at cycle i, so its
 		// completion time includes that fixed phase offset on top of the
 		// phase-independent per-thread bound.
-		bounds[i] = b + int64(i)
+		phase = 1
+	}
+	bounds := make([]int64, len(tasks))
+	err := parallel.ForEach(ctx, 0, len(tasks), func(i int) error {
+		b, err := analyze(tasks[i].Prog, tasks[i].Facts)
+		bounds[i] = b + phase*int64(i)
 		return err
 	})
 	if err != nil {
@@ -664,18 +594,14 @@ func runPret(ctx context.Context, s *Scenario, tasks []core.Task, rep *Report) e
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	times, err := cfg.SimulatePret(progsOf(tasks), uint64(simLimit(s, defaultPretSteps)))
+	progs := make([]*isa.Program, len(tasks))
+	for i, t := range tasks {
+		progs[i] = t.Prog
+	}
+	times, err := simulate(progs, uint64(simLimit(s, steps)))
 	if err != nil {
 		return err
 	}
-	fillSim(rep, tasks, func(i int) int64 { return times[i] }, nil)
+	fillSim(rep, times, nil)
 	return nil
-}
-
-func progsOf(tasks []core.Task) []*isa.Program {
-	out := make([]*isa.Program, len(tasks))
-	for i, t := range tasks {
-		out[i] = t.Prog
-	}
-	return out
 }

@@ -59,7 +59,11 @@ func TestRunJointMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := engine.New(0).AnalyzeJoint(context.Background(), tasks, core.DefaultSystem(), interfere.AgeShift)
+	as, err := engine.New(0).PrepareAll(context.Background(), engine.Requests(tasks, core.DefaultSystem()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := interfere.AnalyzeJoint(as, interfere.AgeShift)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,53 +331,78 @@ func TestRunExplore(t *testing.T) {
 }
 
 // TestRunExploreWitnessRoundTrip: the witness printed in the report is
-// replayable — rebuilding the exploration start state from the report
-// reproduces ExactWorst exactly.
+// replayable in every explorable mode — rebuilding the exploration
+// start state from the report and replaying it on the co-run that runs
+// the witnessed task (coRuns, the systems the explore block priced)
+// reproduces ExactWorst exactly. Solo has one system per task, so this
+// also pins the task-to-core mapping across several systems.
 func TestRunExploreWitnessRoundTrip(t *testing.T) {
-	sc := exploreScenario(t, "exp-replay", KindBus, 2)
-	rep, err := Run(context.Background(), sc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasks := make([]core.Task, len(sc.Tasks))
-	for i := range sc.Tasks {
-		if tasks[i], err = sc.Tasks[i].BuildTask(); err != nil {
-			t.Fatal(err)
+	for _, kind := range []string{KindSolo, KindJoint, KindPartition, KindBus} {
+		sc := exploreScenario(t, "exp-replay-"+kind, kind, 2)
+		rep, err := Run(context.Background(), sc, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
 		}
-	}
-	sys, err := sc.System.BuildSystem()
-	if err != nil {
-		t.Fatal(err)
-	}
-	simSys, err := exploreSystem(sc, tasks, sys, sc.System.MemConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ti, tr := range rep.Tasks {
-		init := explore.InitState{Pattern: tr.Witness.Pattern, Regs: make([][]explore.RegValue, len(tasks))}
-		for _, in := range tr.Witness.Inputs {
-			var task, reg string
-			var val int32
-			dot := strings.IndexByte(in, '.')
-			eq := strings.IndexByte(in, '=')
-			task, reg = in[:dot], in[dot+1:eq]
-			fmt.Sscanf(in[eq+1:], "%d", &val)
-			r, ok := RegByName(reg)
-			if !ok {
-				t.Fatalf("witness register %q", reg)
-			}
-			for c := range tasks {
-				if tasks[c].Name == task {
-					init.Regs[c] = append(init.Regs[c], explore.RegValue{Reg: r, Value: val})
-				}
+		tasks := make([]core.Task, len(sc.Tasks))
+		for i := range sc.Tasks {
+			if tasks[i], err = sc.Tasks[i].BuildTask(); err != nil {
+				t.Fatal(err)
 			}
 		}
-		res, err := explore.Replay(simSys, init, 0)
+		sys, err := sc.System.BuildSystem()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Cycles(ti) != tr.ExactWorst {
-			t.Errorf("task %d: witness replays to %d, want exactly %d", ti, res.Cycles(ti), tr.ExactWorst)
+		systems, err := coRuns(sc, tasks, sys, sc.System.MemConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1
+		if kind == KindSolo {
+			want = len(tasks)
+		}
+		if len(systems) != want {
+			t.Fatalf("%s: %d co-runs, want %d", kind, len(systems), want)
+		}
+		base := 0
+		for _, simSys := range systems {
+			coreTasks := tasks[base : base+len(simSys.Cores)]
+			for c := range coreTasks {
+				tr := rep.Tasks[base+c]
+				init := explore.InitState{Pattern: tr.Witness.Pattern, Regs: make([][]explore.RegValue, len(coreTasks))}
+				for _, in := range tr.Witness.Inputs {
+					var val int32
+					dot := strings.IndexByte(in, '.')
+					eq := strings.IndexByte(in, '=')
+					task, reg := in[:dot], in[dot+1:eq]
+					fmt.Sscanf(in[eq+1:], "%d", &val)
+					r, ok := RegByName(reg)
+					if !ok {
+						t.Fatalf("%s: witness register %q", kind, reg)
+					}
+					found := false
+					for cc := range coreTasks {
+						if coreTasks[cc].Name == task {
+							init.Regs[cc] = append(init.Regs[cc], explore.RegValue{Reg: r, Value: val})
+							found = true
+						}
+					}
+					if !found {
+						t.Errorf("%s: witness of %s names task %q outside its co-run", kind, tr.Name, task)
+					}
+				}
+				res, err := explore.Replay(simSys, init, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Cycles(c) != tr.ExactWorst {
+					t.Errorf("%s task %s: witness replays to %d, want exactly %d", kind, tr.Name, res.Cycles(c), tr.ExactWorst)
+				}
+			}
+			base += len(simSys.Cores)
+		}
+		if base != len(tasks) {
+			t.Errorf("%s: co-runs cover %d cores for %d tasks", kind, base, len(tasks))
 		}
 	}
 }

@@ -257,8 +257,8 @@ type PretSpec struct {
 // ExploreSpec requests bounded exhaustive exploration. The explored
 // state space is the cartesian product of all declared input-register
 // value sets times the initial cache states; every state runs through
-// the cycle-accurate simulator under the mode's co-run topology (the
-// same topology the sim block validates against). All budgets are
+// the cycle-accurate simulator on the mode's co-runs, which coRuns
+// builds for both this block and the sim block. All budgets are
 // optional; zero selects the explorer's default.
 type ExploreSpec struct {
 	// MaxBranchDecisions caps input-dependent branch decisions per
@@ -364,16 +364,18 @@ func (s *Scenario) validateExplore() error {
 	return nil
 }
 
-// SimSpec requests cycle-accurate validation. Topology follows the mode:
-// solo simulates each task alone; bus co-runs all tasks on the shared
-// bus with private L2s; joint co-runs them on a shared L2 over private,
-// uncontended memory paths (a fixed system BusDelay is a bound in the
-// analysis, not a simulated device); partition co-runs the tasks with
-// each core restricted to a private view of its L2 partition (the
-// isolation the analysis assumes); smt and pret drive their dedicated
-// core models. MaxCycles bounds each simulation (0 selects a default);
-// for smt and pret it bounds instruction steps instead. Lock mode does
-// not simulate (the simulator has no lockable cache).
+// SimSpec requests cycle-accurate validation. Topology follows the mode
+// and, for solo, joint, partition and bus, comes from coRuns, the one
+// builder shared with the explore block: solo simulates each task
+// alone; bus co-runs all tasks on the shared bus with private L2s;
+// joint co-runs them on a shared L2 over private, uncontended memory
+// paths (a fixed system BusDelay is a bound in the analysis, not a
+// simulated device); partition co-runs the tasks with each core
+// restricted to a private view of its L2 partition (the isolation the
+// analysis assumes). smt and pret drive their dedicated core models.
+// MaxCycles bounds each simulation (0 selects a default); for smt and
+// pret it bounds instruction steps instead. Lock mode does not simulate
+// (the simulator has no lockable cache).
 type SimSpec struct {
 	MaxCycles int64 `json:"maxCycles,omitempty"`
 }
